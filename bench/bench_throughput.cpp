@@ -2,10 +2,11 @@
 //
 // Measures how fast the engine itself runs — not what the fabrics deliver —
 // on the saturation workload (offered load 1.0, uniform traffic, the
-// bench_saturation configuration), across fabrics and port counts. Emits a
-// machine-readable BENCH_throughput.json so CI can archive the performance
-// trajectory of the hot path over time; the headline number is the
-// 32-port crossbar row (the packet-arena PR's ≥3x acceptance metric).
+// bench_saturation configuration), across fabrics and port counts. The
+// per-config rows time run_simulation, i.e. one 1-lane pass of the lane
+// engine. Emits a machine-readable BENCH_throughput.json so CI can archive
+// the performance trajectory of the hot path over time; the headline
+// number is the 32-port crossbar row.
 //
 // Usage: bench_throughput [--quick] [--reps N] [--out PATH] [--workers N]
 //   --quick    small grid + short runs (CI smoke)
@@ -33,6 +34,7 @@
 #include "dist/merge.hpp"
 #include "dist/shard_plan.hpp"
 #include "dist/worker.hpp"
+#include "exp/runner.hpp"
 #include "exp/spec.hpp"
 #include "obs/host.hpp"
 #include "obs/profiler.hpp"
@@ -185,11 +187,12 @@ GatelevelRow bench_gatelevel(bool quick, int reps) {
 
 // Packet-level replicate lanes: the 32-port VOQ/iSLIP saturation workload
 // at 64 replicates, one row per architecture (crossbar, fully-connected,
-// Batcher-Banyan, banyan), a scalar per-seed loop vs the bit-sliced lane
-// engine (sim/lane_sim.hpp) over the same derive_stream_seed seed list.
-// The two engines are bit-identical by construction; the bench checks a
-// result fingerprint lane-for-lane before reporting timing, so the speedup
-// can never come from computing something different.
+// Batcher-Banyan, banyan), a per-seed loop on the reference engine
+// (run_reference_simulation) vs one lane-engine call (sim/lane_sim.hpp)
+// over the same derive_stream_seed seed list. The two engines are
+// bit-identical by construction; the bench checks a result fingerprint
+// lane-for-lane before reporting timing, so the speedup can never come
+// from computing something different.
 struct PacketlanesRow {
   sfab::SimConfig config;
   unsigned replicates = 64;
@@ -218,7 +221,7 @@ PacketlanesRow bench_packetlanes(const sfab::SimConfig& base,
     for (unsigned k = 0; k < row.replicates; ++k) {
       SimConfig c = row.config;
       c.seed = seeds[k];
-      scalar_runs[k] = run_simulation(c);
+      scalar_runs[k] = run_reference_simulation(c);
     }
     const auto t1 = std::chrono::steady_clock::now();
     const double s = std::chrono::duration<double>(t1 - t0).count();
@@ -264,20 +267,21 @@ double cycles_per_sec(const Row& row) {
          row.best_s;
 }
 
-/// Populates the phase profiler with one short profiled run AFTER all
+/// Populates the phase profiler with one short profiled sweep AFTER all
 /// timed sections (so profiling overhead never lands in a reported
 /// number), then writes the shared observability block every schema-v2
 /// bench JSON carries: schema version, host metadata, the metrics
-/// snapshot, and per-phase totals.
+/// snapshot, and per-phase totals (exp.sweep, exp.unit).
 void write_obs_json(std::ostream& json, const sfab::SimConfig& base) {
   using namespace sfab;
   obs::Profiler::global().set_enabled(true);
-  SimConfig sample = base;
-  sample.arch = Architecture::kCrossbar;
-  sample.ports = 16;
-  sample.warmup_cycles = 500;
-  sample.measure_cycles = 2'000;
-  (void)run_simulation(sample);
+  SweepSpec sample;
+  sample.base = base;
+  sample.base.ports = 16;
+  sample.base.warmup_cycles = 500;
+  sample.base.measure_cycles = 2'000;
+  sample.over_architectures({Architecture::kCrossbar, Architecture::kBanyan});
+  (void)SweepRunner(1).run(sample);
   obs::Profiler::global().set_enabled(false);
 
   json << "  \"schema_version\": 2,\n  \"host\": ";

@@ -63,9 +63,6 @@ void print_usage() {
       "  --buffer-words LIST node FIFO capacity in words          [128]\n"
       "  --packet-words LIST packet length incl. header word       [16]\n"
       "  --replicates N     seeds per grid point                     [1]\n"
-      "  --replicate-engine scalar | laned: how replicate batches run\n"
-      "                     (bit-identical; laned packs the seeds of a\n"
-      "                     grid point into bit-sliced lanes)     [laned]\n"
       "  --threads N        worker threads (0 = all cores)           [0]\n"
       "  --cycles N         measured cycles                      [20000]\n"
       "  --warmup N         warm-up cycles                        [2000]\n"
@@ -98,7 +95,7 @@ void print_usage() {
       "                     on exit (%p in PATH expands to the pid, so\n"
       "                     coordinator-spawned workers write distinct\n"
       "                     files)\n"
-      "  --profile          time named sim/sweep/dist phases; per-phase\n"
+      "  --profile          time named sweep/dist phases; per-phase\n"
       "                     totals land in the metrics JSON under\n"
       "                     \"phases\"\n"
       "  --trace-out PATH   write profiled phase spans as Chrome\n"
@@ -325,7 +322,6 @@ int main(int argc, char** argv) {
   spec.base.ports = 16;
   spec.base.offered_load = 0.4;
   unsigned threads = 0;
-  ReplicateEngine engine = ReplicateEngine::kLaned;
   std::string csv_path;
   ObsOutputs obs_outputs;
   std::string probe_path;
@@ -404,8 +400,6 @@ int main(int argc, char** argv) {
             });
       } else if (flag == "--replicates") {
         spec.replicates = static_cast<unsigned>(std::stoul(next()));
-      } else if (flag == "--replicate-engine") {
-        engine = parse_replicate_engine(next());
       } else if (flag == "--threads") {
         threads = static_cast<unsigned>(std::stoul(next()));
       } else if (flag == "--cycles") {
@@ -524,7 +518,6 @@ int main(int argc, char** argv) {
       }
       dist::WorkerOptions options;
       options.threads = threads;
-      options.engine = engine;
       options.stale_after_s = stale_after_s;
       options.worker_index = static_cast<unsigned>(shard_index);
       options.max_reclaims = max_reclaims;
@@ -638,7 +631,7 @@ int main(int argc, char** argv) {
     }
 
     // --- plain single-process sweep ---------------------------------------
-    const ResultSet results = run_sweep(spec, threads, engine);
+    const ResultSet results = run_sweep(spec, threads);
     // The pool never spawns more workers than there are runs.
     const std::size_t pool = std::min<std::size_t>(
         SweepRunner(threads).threads(), results.size());

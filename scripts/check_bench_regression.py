@@ -14,7 +14,7 @@ Checks the throughput numbers CI is meant to hold steady:
 A metric outside [baseline * (1 - tol), baseline * (1 + tol)] fails the
 check (exit 1). Both directions are out of band on purpose: a large
 "improvement" usually means the workload changed and the baseline must be
-re-recorded (run `bench_throughput --quick --reps 2` on the reference
+re-recorded (run `bench_throughput --quick --reps 4` on the reference
 machine and copy the numbers into bench/BENCH_baseline.json).
 """
 

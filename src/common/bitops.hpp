@@ -79,24 +79,14 @@ namespace sfab {
 
 /// Calls fn(base + b) for every set bit b of `word`, ascending. The single
 /// member-scan idiom (clear-lowest-set + countr_zero) every subsystem used
-/// to hand-roll: router streaming masks, Batcher-Banyan stage occupancy,
-/// gate-level lane accounting, packet-lane planes.
+/// to hand-roll: router streaming masks, gate-level lane accounting,
+/// packet-lane planes.
 template <class Fn>
 inline constexpr void for_each_set_bit(std::uint64_t word, unsigned base,
                                        Fn&& fn) {
   while (word != 0) {
     fn(base + static_cast<unsigned>(std::countr_zero(word)));
     word &= word - 1;
-  }
-}
-
-/// Array form over a multi-word bitmask: fn(i) for every set element i of
-/// words[0..word_count), ascending global order.
-template <class Fn>
-inline constexpr void for_each_set_bit(const std::uint64_t* words,
-                                       std::size_t word_count, Fn&& fn) {
-  for (std::size_t w = 0; w < word_count; ++w) {
-    for_each_set_bit(words[w], static_cast<unsigned>(w * 64), fn);
   }
 }
 

@@ -97,27 +97,6 @@ class Rng {
   /// streams never correlate with the parent's subsequent draws.
   [[nodiscard]] Rng split() noexcept;
 
-  /// The canonical xoshiro256** state words s[0..3]. Together with
-  /// from_state this checkpoints a generator exactly: engines that advance
-  /// many lanes in structure-of-arrays form (the bit-sliced packet engine's
-  /// batched arrival coins) round-trip lane state through these without
-  /// perturbing the stream.
-  [[nodiscard]] std::array<std::uint64_t, 4> state() const noexcept {
-    return {s_[0], s_[1], s_[2], s_[3]};
-  }
-
-  /// Inverse of state(): a generator that continues exactly where the
-  /// checkpointed one stopped.
-  [[nodiscard]] static Rng from_state(
-      const std::array<std::uint64_t, 4>& s) noexcept {
-    Rng rng(0);
-    rng.s_[0] = s[0];
-    rng.s_[1] = s[1];
-    rng.s_[2] = s[2];
-    rng.s_[3] = s[3];
-    return rng;
-  }
-
  private:
   [[nodiscard]] static constexpr std::uint64_t rotl_(std::uint64_t x,
                                                      int k) noexcept {

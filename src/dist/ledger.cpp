@@ -51,6 +51,16 @@ constexpr char kProgressMagic[] = "sfab-progress v1";
   return false;
 }
 
+/// `<path><tag><pid>.<n>` with a process-wide call counter n, so no two
+/// calls — from other processes or from threads of this one — ever share
+/// a temp or tombstone name.
+[[nodiscard]] std::string unique_name(const std::string& path,
+                                      const char* tag) {
+  static std::atomic<std::uint64_t> calls{0};
+  return path + tag + std::to_string(::getpid()) + "." +
+         std::to_string(calls.fetch_add(1, std::memory_order_relaxed));
+}
+
 void fsync_fd_or_throw(int fd, const std::string& what) {
   if (::fsync(fd) != 0) {
     throw std::runtime_error("ShardLedger: fsync " + what + " failed: " +
@@ -67,15 +77,14 @@ void fsync_dir(const fs::path& dir) {
   ::close(fd);
 }
 
-/// Writes `text` to `final_path` via a pid-unique temp file and an atomic
+/// Writes `text` to `final_path` via a unique temp file and an atomic
 /// rename. With `durable`, the temp file is fsync'd before the rename and
 /// the directory after it, so a host power loss can never expose a
 /// complete-looking truncated file. With `simulate_enospc`, only half the
 /// bytes land and the call fails without renaming (chaos harness).
 void write_file_atomic(const fs::path& final_path, const std::string& text,
                        bool durable, bool simulate_enospc = false) {
-  const fs::path tmp =
-      final_path.string() + ".tmp." + std::to_string(::getpid());
+  const fs::path tmp = unique_name(final_path.string(), ".tmp.");
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
     throw std::runtime_error("ShardLedger: cannot write " + tmp.string());
@@ -109,8 +118,7 @@ void write_file_atomic(const fs::path& final_path, const std::string& text,
 /// installed — never overwrites — so racing writers resolve to exactly one
 /// complete record. Returns true when this caller's content won.
 bool install_exclusive(const fs::path& final_path, const std::string& text) {
-  const fs::path tmp =
-      final_path.string() + ".tmp." + std::to_string(::getpid());
+  const fs::path tmp = unique_name(final_path.string(), ".tmp.");
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     out << text;
@@ -346,12 +354,11 @@ bool ShardLedger::reclaim_if_stale(const ShardKey& key) noexcept {
   const auto age = fs::file_time_type::clock::now() - mtime;
   if (std::chrono::duration<double>(age).count() < stale_s_) return false;
 
-  // Break it: rename to a tombstone unique to this process. Rename has
+  // Break it: rename to a tombstone unique to this call. Rename has
   // exactly one winner; a loser's rename fails because the source is gone.
   // The winner unlinks its tombstone immediately (a crash inside this
   // window leaves an orphan that the constructor sweep removes).
-  const std::string tombstone =
-      path + ".stale." + std::to_string(::getpid());
+  const std::string tombstone = unique_name(path, ".stale.");
   fs::rename(path, tombstone, ec);
   if (ec) return false;
   fs::remove(tombstone, ec);

@@ -106,7 +106,6 @@ class ShardStream {
       if (chunk_end > next) {
         SweepRunner runner(options_.threads);
         runner.with_cache(ResultCache::from_env())
-            .with_engine(options_.engine)
             .with_on_record([this](const RunRecord& rec) { stage(rec); });
         (void)runner.run_range(spec_, next, chunk_end);
       }

@@ -26,7 +26,6 @@
 
 #include "dist/ledger.hpp"
 #include "exp/spec.hpp"
-#include "sim/lane_sim.hpp"
 
 namespace sfab::dist {
 
@@ -40,9 +39,6 @@ struct WorkerOptions {
   /// Progress goes through obs::log (component "worker", level info;
   /// strikes and quarantines at warn) — set SFAB_LOG to filter.
   unsigned worker_index = 0;
-  /// Replicate engine handed to the sweep runner. Bit-identical either
-  /// way; kScalar is the plain reference path.
-  ReplicateEngine engine = ReplicateEngine::kLaned;
   /// Retry budget: strikes before a shard is quarantined as poisoned.
   unsigned max_reclaims = 3;
   /// Straggler work stealing when a pass finds nothing claimable.

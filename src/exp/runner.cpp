@@ -78,8 +78,8 @@ ResultSet SweepRunner::run_range(const SweepSpec& spec, std::size_t begin,
   // Work units: under kLaned, one unit per grid point — replicate siblings
   // are adjacent in expansion order (the replicate index is the fastest
   // axis) and differ only by derived seed, so a unit's uncached members run
-  // as lanes of one bit-sliced pass. Under kScalar (or for lone members)
-  // every record is its own unit, exactly the pre-lane dispatch.
+  // as lanes of one lane-engine pass (a lone member as a 1-lane pass).
+  // Under kScalar every record is its own unit on the reference engine.
   std::vector<std::pair<std::size_t, std::size_t>> units;  // [first, last)
   for (std::size_t first = 0; first < pending.size();) {
     std::size_t last = first + 1;
@@ -114,9 +114,9 @@ ResultSet SweepRunner::run_range(const SweepSpec& spec, std::size_t begin,
       const auto [first, last] = units[n];
       const obs::ScopedPhase unit_timer(unit_phase);
       try {
-        if (last - first == 1) {
+        if (engine_ == ReplicateEngine::kScalar) {
           const std::size_t i = pending[first];
-          records[i].result = run_simulation(records[i].config);
+          records[i].result = run_reference_simulation(records[i].config);
         } else {
           std::vector<std::uint64_t> seeds(last - first);
           for (std::size_t m = first; m < last; ++m) {
@@ -167,19 +167,14 @@ ResultSet SweepRunner::run_range(const SweepSpec& spec, std::size_t begin,
   return ResultSet(std::move(records));
 }
 
-ResultSet run_sweep(const SweepSpec& spec, unsigned threads,
-                    ReplicateEngine engine) {
-  return SweepRunner(threads)
-      .with_cache(ResultCache::from_env())
-      .with_engine(engine)
-      .run(spec);
+ResultSet run_sweep(const SweepSpec& spec, unsigned threads) {
+  return SweepRunner(threads).with_cache(ResultCache::from_env()).run(spec);
 }
 
 ResultSet run_shard(const SweepSpec& spec, std::size_t begin, std::size_t end,
-                    unsigned threads, ReplicateEngine engine) {
+                    unsigned threads) {
   return SweepRunner(threads)
       .with_cache(ResultCache::from_env())
-      .with_engine(engine)
       .run_range(spec, begin, end);
 }
 

@@ -13,12 +13,13 @@
 // fresh result is stored for the next sweep. Purity of run_simulation
 // guarantees cached rows are bit-identical to re-simulated ones.
 //
-// Replicates of one grid point differ only by derived seed, so the runner
-// batches them through the bit-sliced lane engine (sim/lane_sim.hpp) by
-// default: one work unit per grid point, all its uncached replicates in
-// lock-step lanes. The lane engine is bit-identical to scalar (and falls
-// back per-lane where unsupported), so the engine choice — like the thread
-// count — never changes a single result bit.
+// Every work unit runs on the lane engine (sim/lane_sim.hpp) by default.
+// Replicates of one grid point differ only by derived seed, so a unit is
+// one grid point with all its uncached replicates as lanes of one pass; a
+// lone run is a 1-lane pass. The lane engine is bit-identical to the
+// reference engine (and falls back to it per lane where unsupported), so
+// the engine choice — like the thread count — never changes a single
+// result bit.
 #pragma once
 
 #include <functional>
@@ -47,9 +48,9 @@ class SweepRunner {
 
   [[nodiscard]] ResultCache* cache() const noexcept { return cache_; }
 
-  /// Selects the replicate engine: kLaned (default) batches the replicates
-  /// of each grid point through the bit-sliced lane engine, kScalar runs
-  /// every record through plain run_simulation. Results are bit-identical
+  /// Selects the engine: kLaned (default) runs each grid point's
+  /// replicates as lanes of one lane-engine pass, kScalar runs every
+  /// record through run_reference_simulation. Results are bit-identical
   /// either way.
   SweepRunner& with_engine(ReplicateEngine engine) noexcept {
     engine_ = engine;
@@ -96,17 +97,15 @@ class SweepRunner {
 /// process-wide ResultCache::from_env() cache attached when the
 /// SFAB_RESULT_CACHE environment variable names a CSV store — that is how
 /// the benches share results across processes without any plumbing.
-[[nodiscard]] ResultSet run_sweep(
-    const SweepSpec& spec, unsigned threads = 0,
-    ReplicateEngine engine = ReplicateEngine::kLaned);
+[[nodiscard]] ResultSet run_sweep(const SweepSpec& spec,
+                                  unsigned threads = 0);
 
 /// Shard-worker convenience: SweepRunner{threads}.run_range(spec, begin,
 /// end) with the SFAB_RESULT_CACHE store attached when configured. Shard
 /// workers sharing one store are safe: cache appends are lockfile-guarded
 /// single writes, so concurrent workers never interleave partial rows.
-[[nodiscard]] ResultSet run_shard(
-    const SweepSpec& spec, std::size_t begin, std::size_t end,
-    unsigned threads = 0, ReplicateEngine engine = ReplicateEngine::kLaned);
+[[nodiscard]] ResultSet run_shard(const SweepSpec& spec, std::size_t begin,
+                                  std::size_t end, unsigned threads = 0);
 
 /// Runs `base` once per load value through the engine and returns the bare
 /// results in load order. Paired-sweep semantics: every load point runs

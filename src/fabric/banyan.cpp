@@ -21,8 +21,7 @@ BanyanFabric::BanyanFabric(FabricConfig config)
   }
   links_.assign(stages_, std::vector<std::optional<Flit>>(ports()));
   buffers_.assign(stages_,
-                  std::vector<NodeFifo>(
-                      ports() / 2, NodeFifo(config_.buffer_words_per_switch)));
+                  std::vector<std::deque<BufferedWord>>(ports() / 2));
   out_wire_.assign(stages_, std::vector<WireState>(ports()));
   input_priority_.assign(stages_, std::vector<char>(ports() / 2, 0));
 }
@@ -110,7 +109,7 @@ void BanyanFabric::tick(EgressSink& sink) {
 
     for (unsigned sw = 0; sw < ports() / 2; ++sw) {
       const auto [r0, r1] = switch_rows(stage, sw);
-      NodeFifo& fifo = buffers_[stage][sw];
+      std::deque<BufferedWord>& fifo = buffers_[stage][sw];
       unsigned moved = 0;
 
       // Alternate which input row gets priority, for fairness under load.
@@ -128,15 +127,18 @@ void BanyanFabric::tick(EgressSink& sink) {
         // Oldest buffered word for this output goes first (keeps packets in
         // order: a packet's words always want the same output).
         std::optional<Flit> mover;
-        if (fifo.has(out_bit)) {
-          const BufferedWord& buffered = fifo.front(out_bit);
-          mover = buffered.flit;
+        const auto buffered = std::find_if(
+            fifo.begin(), fifo.end(), [&](const BufferedWord& word) {
+              return bit_of(word.flit.dest, stage) == out_bit;
+            });
+        if (buffered != fifo.end()) {
+          mover = buffered->flit;
           // A word that overflowed the skid slots into the SRAM is read
           // back out; skid-slot words ride a register and cost nothing.
-          if (buffered.in_sram && config_.charge_buffer_read_and_write) {
+          if (buffered->in_sram && config_.charge_buffer_read_and_write) {
             ledger_.add(EnergyKind::kBuffer, access_j);  // the READ back out
           }
-          fifo.pop(out_bit);
+          fifo.erase(buffered);
         } else {
           for (const PortId in_row : {first_row, second_row}) {
             auto& slot = links_[stage][in_row];
@@ -178,7 +180,7 @@ void BanyanFabric::tick(EgressSink& sink) {
             ++sram_words_buffered_;
           }
           ++words_buffered_;
-          fifo.push(bit_of(slot->dest, stage), BufferedWord{*slot, in_sram});
+          fifo.push_back(BufferedWord{*slot, in_sram});
           peak_occupancy_ = std::max(peak_occupancy_, fifo.size());
           slot.reset();
         } else {

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <vector>
 
@@ -93,56 +94,12 @@ class BanyanFabric final : public SwitchFabric {
     bool in_sram = false;
   };
 
-  /// Node FIFO as two index rings, one per switch output bit, with
-  /// per-output occupancy counts. The tick loop only ever dequeues "the
-  /// oldest word destined for output bit b" — a word's output bit is fixed
-  /// by its destination — so classing words by bit at enqueue turns the
-  /// old std::deque find_if walk + middle erase into an O(1) ring front
-  /// check. Arrival order within a bit class is ring order, and the
-  /// capacity/skid decisions use the combined size, so every enqueue,
-  /// dequeue, SRAM charge, and stall happens in exactly the same order as
-  /// before: the bit-identity goldens hold.
-  class NodeFifo {
-   public:
-    NodeFifo() = default;
-    explicit NodeFifo(std::size_t capacity)
-        : slots_(2 * capacity), capacity_(capacity) {}
-
-    [[nodiscard]] std::size_t size() const noexcept {
-      return size_[0] + size_[1];
-    }
-    [[nodiscard]] bool empty() const noexcept { return size() == 0; }
-    [[nodiscard]] bool has(unsigned bit) const noexcept {
-      return size_[bit] != 0;
-    }
-    /// Oldest buffered word headed for output `bit`; requires has(bit).
-    [[nodiscard]] const BufferedWord& front(unsigned bit) const noexcept {
-      return slots_[bit * capacity_ + head_[bit]];
-    }
-    void pop(unsigned bit) noexcept {
-      if (++head_[bit] == capacity_) head_[bit] = 0;
-      --size_[bit];
-    }
-    /// Caller enforces capacity via size() < buffer_words_per_switch.
-    void push(unsigned bit, const BufferedWord& word) noexcept {
-      std::size_t tail = head_[bit] + size_[bit];
-      if (tail >= capacity_) tail -= capacity_;
-      slots_[bit * capacity_ + tail] = word;
-      ++size_[bit];
-    }
-
-   private:
-    std::vector<BufferedWord> slots_;  ///< [0,cap) = bit 0, [cap,2cap) = bit 1
-    std::size_t capacity_ = 0;
-    std::size_t head_[2] = {0, 0};
-    std::size_t size_[2] = {0, 0};
-  };
-
   /// links_[s][row]: word waiting at the input of stage s (s == 0 is fed by
   /// inject()). Values move from stage s to stage s+1 each tick.
   std::vector<std::vector<std::optional<Flit>>> links_;
-  /// buffers_[s][switch]: node FIFO holding contention losers.
-  std::vector<std::vector<NodeFifo>> buffers_;
+  /// buffers_[s][switch]: node FIFO holding contention losers, oldest
+  /// first.
+  std::vector<std::vector<std::deque<BufferedWord>>> buffers_;
   /// Polarity memory of each stage-output wire, indexed [stage][out_row].
   std::vector<std::vector<WireState>> out_wire_;
   /// Per-switch alternating input priority (fairness between the two rows).

@@ -1,6 +1,5 @@
 #include "fabric/batcher_banyan.hpp"
 
-#include <bit>
 #include <stdexcept>
 
 #include "common/bitops.hpp"
@@ -23,11 +22,8 @@ BatcherBanyanFabric::BatcherBanyanFabric(FabricConfig config)
   for (unsigned s = dimension_; s-- > 0;) {
     stage_specs_.push_back(StageSpec{false, s, 0});
   }
-  links_.assign(stage_specs_.size(), std::vector<Flit>(ports()));
-  row_occ_.assign(stage_specs_.size(),
-                  std::vector<std::uint64_t>(bitmask_words(ports()), 0));
-  sw_occ_.assign(stage_specs_.size(),
-                 std::vector<std::uint64_t>(bitmask_words(ports() / 2), 0));
+  links_.assign(stage_specs_.size(),
+                std::vector<std::optional<Flit>>(ports()));
   out_wire_.assign(stage_specs_.size(), std::vector<WireState>(ports()));
   banyan_parity_.assign(stage_specs_.size(), 0);
 }
@@ -44,7 +40,7 @@ void BatcherBanyanFabric::charge_switch_activity(const StageSpec& spec,
 
 bool BatcherBanyanFabric::can_accept(PortId ingress) const {
   check_ingress(ingress);
-  return !test_bit(row_occ_[0].data(), ingress);
+  return !links_[0][ingress].has_value();
 }
 
 void BatcherBanyanFabric::inject(PortId ingress, const Flit& flit) {
@@ -52,14 +48,13 @@ void BatcherBanyanFabric::inject(PortId ingress, const Flit& flit) {
   if (flit.dest >= ports()) {
     throw std::out_of_range("BatcherBanyanFabric: destination out of range");
   }
-  if (test_bit(row_occ_[0].data(), ingress)) {
+  if (links_[0][ingress].has_value()) {
     throw std::logic_error(
         "BatcherBanyanFabric: inject into occupied ingress link");
   }
   Flit placed = flit;
   placed.row = ingress;
   links_[0][ingress] = placed;
-  occupy(0, ingress);
   note_injected();
 }
 
@@ -82,34 +77,31 @@ void BatcherBanyanFabric::move_word(unsigned stage, unsigned span_log2,
     note_delivered();
   } else {
     links_[stage + 1][out_row] = flit;
-    occupy(stage + 1, out_row);
   }
 }
 
 void BatcherBanyanFabric::tick_sorter_stage(unsigned stage,
                                             const StageSpec& spec) {
   const unsigned b = spec.span_log2;
-  // Packed walk: only switches with >= 1 occupied input, ascending switch
-  // order (the ledger accumulation order the goldens pin). Switches only
-  // empty at this stage during the walk (writes land in stage + 1), so
-  // iterating a snapshot of each occupancy word is exact.
-  const auto& occ = sw_occ_[stage];
-  for_each_set_bit(occ.data(), occ.size(), [&](unsigned sw) {
+  auto& in = links_[stage];
+  const auto& out = links_[stage + 1];
+  // Switches in ascending order: the ledger accumulation order the
+  // goldens pin. Writes land in stage + 1 only.
+  for (unsigned sw = 0; sw < ports() / 2; ++sw) {
     const auto low = static_cast<unsigned>(sw & low_mask(b));
     const unsigned high = (sw >> b) << (b + 1);
     const PortId r0 = high | low;
     const PortId r1 = r0 | (1u << b);
-
-    const bool has0 = row_occupied(stage, r0);
-    const bool has1 = row_occupied(stage, r1);
+    const bool has0 = in[r0].has_value();
+    const bool has1 = in[r1].has_value();
 
     // Compare-exchange on destination keys; an idle input behaves as
     // +infinity so active words concentrate toward the block's small
     // end.
     const bool ascending = bitonic_ascending(r0, spec.phase);
     const std::uint64_t kIdle = ~0ull;
-    const std::uint64_t key0 = has0 ? links_[stage][r0].dest : kIdle;
-    const std::uint64_t key1 = has1 ? links_[stage][r1].dest : kIdle;
+    const std::uint64_t key0 = has0 ? in[r0]->dest : kIdle;
+    const std::uint64_t key1 = has1 ? in[r1]->dest : kIdle;
     const bool swap = (key0 > key1) == ascending && key0 != key1;
 
     const PortId out_for_in0 = swap ? r1 : r0;
@@ -119,28 +111,25 @@ void BatcherBanyanFabric::tick_sorter_stage(unsigned stage,
     // block each other; the only reason to wait is a downstream stall
     // (possible when the banyan section back-pressures), in which case
     // the whole pair holds to keep the cohort intact.
-    const auto slot_free = [&](PortId row) {
-      return !row_occupied(stage + 1, row);
-    };
-    if ((has0 && !slot_free(out_for_in0)) ||
-        (has1 && !slot_free(out_for_in1))) {
+    if ((has0 && out[out_for_in0].has_value()) ||
+        (has1 && out[out_for_in1].has_value())) {
       link_conflicts_ += (has0 ? 1 : 0) + (has1 ? 1 : 0);
-      return;
+      continue;
     }
 
     unsigned moved = 0;
     if (has0) {
-      move_word(stage, b, links_[stage][r0], out_for_in0, false, nullptr);
-      vacate(stage, r0);
+      move_word(stage, b, *in[r0], out_for_in0, false, nullptr);
+      in[r0].reset();
       ++moved;
     }
     if (has1) {
-      move_word(stage, b, links_[stage][r1], out_for_in1, false, nullptr);
-      vacate(stage, r1);
+      move_word(stage, b, *in[r1], out_for_in1, false, nullptr);
+      in[r1].reset();
       ++moved;
     }
     charge_switch_activity(spec, moved);
-  });
+  }
 }
 
 void BatcherBanyanFabric::tick_banyan_stage(unsigned stage,
@@ -149,14 +138,14 @@ void BatcherBanyanFabric::tick_banyan_stage(unsigned stage,
   const auto stage_count = static_cast<unsigned>(stage_specs_.size());
   const bool last_stage = (stage == stage_count - 1);
   const unsigned b = spec.span_log2;
+  auto& in = links_[stage];
 
   // Arbitration priority alternates every cycle, for every switch of the
   // stage in lockstep; one parity bit replaces the per-switch array.
   const char parity = banyan_parity_[stage];
   banyan_parity_[stage] ^= 1;
 
-  const auto& occ = sw_occ_[stage];
-  for_each_set_bit(occ.data(), occ.size(), [&](unsigned sw) {
+  for (unsigned sw = 0; sw < ports() / 2; ++sw) {
     const auto low = static_cast<unsigned>(sw & low_mask(b));
     const unsigned high = (sw >> b) << (b + 1);
     const PortId r0 = high | low;
@@ -167,33 +156,32 @@ void BatcherBanyanFabric::tick_banyan_stage(unsigned stage,
     // alternate.
     PortId first_row = parity ? r1 : r0;
     PortId second_row = parity ? r0 : r1;
-    const bool has0 = row_occupied(stage, r0);
-    const bool has1 = row_occupied(stage, r1);
-    if (has0 && has1 &&
-        links_[stage][r0].packet_id == links_[stage][r1].packet_id) {
-      const bool zero_first = links_[stage][r0].seq < links_[stage][r1].seq;
+    if (in[r0].has_value() && in[r1].has_value() &&
+        in[r0]->packet_id == in[r1]->packet_id) {
+      const bool zero_first = in[r0]->seq < in[r1]->seq;
       first_row = zero_first ? r0 : r1;
       second_row = zero_first ? r1 : r0;
     }
 
     unsigned moved = 0;
     for (const PortId in_row : {first_row, second_row}) {
-      if (!row_occupied(stage, in_row)) continue;
-      const Flit& slot = links_[stage][in_row];
+      if (!in[in_row].has_value()) continue;
+      const Flit& slot = *in[in_row];
       const PortId out_row =
           (in_row & ~(PortId{1} << b)) |
           (static_cast<PortId>(bit_of(slot.dest, b)) << b);
-      const bool free = last_stage || !row_occupied(stage + 1, out_row);
+      const bool free =
+          last_stage || !links_[stage + 1][out_row].has_value();
       if (!free) {
         ++link_conflicts_;
         continue;  // stall in place; upstream back-pressures
       }
       move_word(stage, b, slot, out_row, last_stage, &sink);
-      vacate(stage, in_row);
+      in[in_row].reset();
       ++moved;
     }
     charge_switch_activity(spec, moved);
-  });
+  }
 }
 
 void BatcherBanyanFabric::tick(EgressSink& sink) {
@@ -211,9 +199,9 @@ void BatcherBanyanFabric::tick(EgressSink& sink) {
 }
 
 bool BatcherBanyanFabric::idle() const {
-  for (const auto& stage_occ : row_occ_) {
-    for (const std::uint64_t word : stage_occ) {
-      if (word != 0) return false;
+  for (const auto& stage_links : links_) {
+    for (const auto& slot : stage_links) {
+      if (slot.has_value()) return false;
     }
   }
   return true;

@@ -24,19 +24,12 @@
 //  * Residual banyan-stage conflicts (possible only for cohorts sheared by
 //    an earlier stall) stall in place and are counted in link_conflicts();
 //    in steady state the counter stays at or near zero.
-//  * Per-stage occupancy is tracked in packed bitmasks (one bit per row
-//    and one per 2x2 switch), so a tick visits only switches with at
-//    least one word at an input instead of scanning — and moving
-//    std::optional<Flit> links for — every row of every stage. Idle and
-//    draining stages cost a word test; switch visit order stays ascending,
-//    so the energy-ledger accumulation order (and with it the
-//    test_bit_identity goldens) is unchanged.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
-#include "common/bitops.hpp"
 #include "fabric/bitonic.hpp"
 #include "fabric/fabric.hpp"
 #include "power/wire_energy.hpp"
@@ -80,38 +73,11 @@ class BatcherBanyanFabric final : public SwitchFabric {
                  PortId out_row, bool deliver, EgressSink* sink);
   void charge_switch_activity(const StageSpec& spec, unsigned moved_count);
 
-  /// The 2x2 switch (in ascending-switch order) covering `row` at a stage
-  /// of comparator/routing span 2^b: row with bit b deleted.
-  [[nodiscard]] static unsigned switch_of(PortId row, unsigned b) noexcept {
-    return ((row >> (b + 1)) << b) |
-           static_cast<unsigned>(row & low_mask(b));
-  }
-  [[nodiscard]] bool row_occupied(unsigned stage, PortId row) const noexcept {
-    return test_bit(row_occ_[stage].data(), row);
-  }
-  void occupy(unsigned stage, PortId row) noexcept {
-    set_bit(row_occ_[stage].data(), row);
-    set_bit(sw_occ_[stage].data(),
-            switch_of(row, stage_specs_[stage].span_log2));
-  }
-  void vacate(unsigned stage, PortId row) noexcept {
-    clear_bit(row_occ_[stage].data(), row);
-    const unsigned b = stage_specs_[stage].span_log2;
-    if (!row_occupied(stage, row ^ (PortId{1} << b))) {
-      clear_bit(sw_occ_[stage].data(), switch_of(row, b));
-    }
-  }
-
   WireEnergyModel wires_;
   unsigned dimension_;
   std::vector<StageSpec> stage_specs_;
-  /// links_[k][row]: word at the input of pipeline stage k; valid only
-  /// where the row's occupancy bit is set.
-  std::vector<std::vector<Flit>> links_;
-  /// Packed occupancy: bit `row` of row_occ_[k] = stage-k input row holds
-  /// a word; bit `sw` of sw_occ_[k] = switch sw has >= 1 occupied input.
-  std::vector<std::vector<std::uint64_t>> row_occ_;
-  std::vector<std::vector<std::uint64_t>> sw_occ_;
+  /// links_[k][row]: word at the input of pipeline stage k.
+  std::vector<std::vector<std::optional<Flit>>> links_;
   /// Polarity memory per stage-output wire [stage][out_row].
   std::vector<std::vector<WireState>> out_wire_;
   /// Per-stage alternating arbitration priority for the banyan section.

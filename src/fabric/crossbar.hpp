@@ -6,16 +6,9 @@
 // cost: a transported bit drives its entire input row wire (4N Thompson
 // grids), the input gates of all N crosspoints hanging off that row (the
 // N * E_S term of Eq. 3) and the entire output column wire (4N grids).
-//
-// The word-path methods are defined inline: the router's monomorphized run
-// loop (router/router.cpp) calls them through the concrete type, so the
-// per-word can_accept/inject/tick sequence compiles down with no virtual
-// dispatch.
 #pragma once
 
-#include <algorithm>
 #include <optional>
-#include <stdexcept>
 #include <vector>
 
 #include "fabric/fabric.hpp"
@@ -31,108 +24,16 @@ class CrossbarFabric final : public SwitchFabric {
   [[nodiscard]] Architecture architecture() const noexcept override {
     return Architecture::kCrossbar;
   }
-
-  [[nodiscard]] bool can_accept(PortId ingress) const override {
-    check_ingress(ingress);
-    return !in_flight_[ingress].has_value();
-  }
-
-  void inject(PortId ingress, const Flit& flit) override {
-    check_ingress(ingress);
-    if (flit.dest >= ports()) {
-      throw std::out_of_range("CrossbarFabric: destination out of range");
-    }
-    if (in_flight_[ingress].has_value()) {
-      throw std::logic_error("CrossbarFabric: double inject on one ingress");
-    }
-    in_flight_[ingress] = flit;
-    note_injected();
-  }
-
-  void tick(EgressSink& sink) override { tick_impl(sink); }
-
-  // --- fused word path (monomorphized router loop only) ---------------------
-  //
-  // A bufferless single-slot fabric delivers every word injected in step 3
-  // at the step-4 tick of the same cycle, and its slots are always free
-  // when the router injects. The fused transfer() pushes a word straight
-  // through — identical op order to inject()+tick_impl(), without the
-  // in_flight_ slot round-trip. begin_cycle() replaces tick()'s scratch
-  // reset. The virtual inject()/tick() protocol above stays intact for
-  // tests and generic callers.
-
-  void begin_cycle() {
-    std::fill(egress_taken_.begin(), egress_taken_.end(), 0);
-  }
-
-  template <class Sink>
-  void transfer(PortId row, const Flit& flit, Sink& sink) {
-    check_ingress(row);
-    if (flit.dest >= ports()) {
-      throw std::out_of_range("CrossbarFabric: destination out of range");
-    }
-    note_injected();
-    deliver_word(row, flit, sink);
-  }
-
-  /// Monomorphized tick: `sink`'s concrete type lets deliver() inline too.
-  template <class Sink>
-  void tick_impl(Sink& sink) {
-    // The arbiter guarantees one packet per egress; verify it anyway — a
-    // violated precondition here means the caller's arbitration is broken.
-    std::fill(egress_taken_.begin(), egress_taken_.end(), 0);
-
-    for (PortId row = 0; row < ports(); ++row) {
-      if (!in_flight_[row].has_value()) continue;
-      const Flit flit = *in_flight_[row];
-      in_flight_[row].reset();
-      deliver_word(row, flit, sink);
-    }
-  }
-
-  [[nodiscard]] bool idle() const override {
-    for (const auto& slot : in_flight_) {
-      if (slot.has_value()) return false;
-    }
-    return true;
-  }
+  [[nodiscard]] bool can_accept(PortId ingress) const override;
+  void inject(PortId ingress, const Flit& flit) override;
+  void tick(EgressSink& sink) override;
+  [[nodiscard]] bool idle() const override;
 
  private:
-  /// The single per-word body both tick_impl() and transfer() share —
-  /// conflict check, energy accounting, delivery — so the fused and the
-  /// slot paths cannot drift apart.
-  template <class Sink>
-  void deliver_word(PortId row, const Flit& flit, Sink& sink) {
-    if (egress_taken_[flit.dest]) {
-      throw std::logic_error(
-          "CrossbarFabric: two words for one egress in one cycle "
-          "(destination contention must be resolved by the arbiter)");
-    }
-    egress_taken_[flit.dest] = 1;
-
-    // Node switches: the bit toggles the input gates of all N crosspoints
-    // on its row (Eq. 3's N * E_S term, precomputed per word).
-    ledger_.add(EnergyKind::kSwitch, switch_energy_per_word_j_);
-
-    // Wires: full row then full column, charged per flipped bit.
-    const int row_flips = row_state_[row].transmit(flit.data);
-    const int col_flips = column_state_[flit.dest].transmit(flit.data);
-    ledger_.add(EnergyKind::kWire,
-                row_energy_lut_[row_flips] + column_energy_lut_[col_flips]);
-
-    sink.deliver(flit.dest, flit);
-    note_delivered();
-  }
-
   WireEnergyModel wires_;
   thompson::CrossbarEmbedding embedding_;
   /// Eq. 3's N * E_S per word, precomputed: constant per configuration.
   double switch_energy_per_word_j_;
-  /// flip-count -> wire energy, entry f = flip_energy_j(f, grids) exactly
-  /// as the per-word expression computed it (bit-identical, minus two
-  /// multiplies per word on the hot path).
-  std::vector<double> row_energy_lut_;
-  std::vector<double> column_energy_lut_;
   /// Word injected this cycle per ingress, delivered at the next tick.
   std::vector<std::optional<Flit>> in_flight_;
   /// Polarity memory of each input row bus and output column bus.

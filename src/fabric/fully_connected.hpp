@@ -5,14 +5,9 @@
 // bufferless, but a bit only burns energy in the *one* MUX that selects it
 // (Eq. 4's single E_S term) — at the price of an N^2/2-grid wire run and a
 // MUX whose own energy grows with N.
-//
-// Word-path methods are inline for the router's monomorphized run loop,
-// like CrossbarFabric.
 #pragma once
 
-#include <algorithm>
 #include <optional>
-#include <stdexcept>
 #include <vector>
 
 #include "fabric/fabric.hpp"
@@ -28,93 +23,16 @@ class FullyConnectedFabric final : public SwitchFabric {
   [[nodiscard]] Architecture architecture() const noexcept override {
     return Architecture::kFullyConnected;
   }
-
-  [[nodiscard]] bool can_accept(PortId ingress) const override {
-    check_ingress(ingress);
-    return !in_flight_[ingress].has_value();
-  }
-
-  void inject(PortId ingress, const Flit& flit) override {
-    check_ingress(ingress);
-    if (flit.dest >= ports()) {
-      throw std::out_of_range(
-          "FullyConnectedFabric: destination out of range");
-    }
-    if (in_flight_[ingress].has_value()) {
-      throw std::logic_error(
-          "FullyConnectedFabric: double inject on one ingress");
-    }
-    in_flight_[ingress] = flit;
-    note_injected();
-  }
-
-  void tick(EgressSink& sink) override { tick_impl(sink); }
-
-  // --- fused word path (monomorphized router loop only; see crossbar) -------
-
-  void begin_cycle() {
-    std::fill(egress_taken_.begin(), egress_taken_.end(), 0);
-  }
-
-  template <class Sink>
-  void transfer(PortId input, const Flit& flit, Sink& sink) {
-    check_ingress(input);
-    if (flit.dest >= ports()) {
-      throw std::out_of_range(
-          "FullyConnectedFabric: destination out of range");
-    }
-    note_injected();
-    deliver_word(input, flit, sink);
-  }
-
-  /// Monomorphized tick: `sink`'s concrete type lets deliver() inline too.
-  template <class Sink>
-  void tick_impl(Sink& sink) {
-    std::fill(egress_taken_.begin(), egress_taken_.end(), 0);
-
-    for (PortId input = 0; input < ports(); ++input) {
-      if (!in_flight_[input].has_value()) continue;
-      const Flit flit = *in_flight_[input];
-      in_flight_[input].reset();
-      deliver_word(input, flit, sink);
-    }
-  }
-
-  [[nodiscard]] bool idle() const override {
-    for (const auto& slot : in_flight_) {
-      if (slot.has_value()) return false;
-    }
-    return true;
-  }
+  [[nodiscard]] bool can_accept(PortId ingress) const override;
+  void inject(PortId ingress, const Flit& flit) override;
+  void tick(EgressSink& sink) override;
+  [[nodiscard]] bool idle() const override;
 
  private:
-  /// Shared per-word body of tick_impl() and transfer() (see crossbar).
-  template <class Sink>
-  void deliver_word(PortId input, const Flit& flit, Sink& sink) {
-    if (egress_taken_[flit.dest]) {
-      throw std::logic_error(
-          "FullyConnectedFabric: two words for one egress in one cycle");
-    }
-    egress_taken_[flit.dest] = 1;
-
-    // Only the selected MUX processes the bit (paper: "each bit only
-    // consumes energy on one of the MUXes").
-    ledger_.add(EnergyKind::kSwitch, mux_energy_per_word_j_);
-
-    const int flips = broadcast_state_[input].transmit(flit.data);
-    ledger_.add(EnergyKind::kWire, path_energy_lut_[flips]);
-
-    sink.deliver(flit.dest, flit);
-    note_delivered();
-  }
-
   WireEnergyModel wires_;
   thompson::FullyConnectedEmbedding embedding_;
-  double mux_energy_per_bit_j_;
-  /// mux_energy_per_bit_j_ * bus_width, the per-word constant.
+  /// The selected MUX's energy per bit times bus_width: a per-word constant.
   double mux_energy_per_word_j_;
-  /// flip-count -> wire energy over the N^2/2-grid path (see crossbar).
-  std::vector<double> path_energy_lut_;
   std::vector<std::optional<Flit>> in_flight_;
   /// Polarity memory of each ingress broadcast bus.
   std::vector<WireState> broadcast_state_;

@@ -8,8 +8,8 @@
 // anyway — taking one never draws from an RNG or reorders an FP
 // accumulation, so an observed run is bit-identical to an unobserved
 // one (enforced by tests/test_obs_identity.cpp). Observed runs take the
-// generic virtual-dispatch step path rather than the monomorphized
-// loop; the two are pinned bit-identical by tests/test_bit_identity.
+// reference engine (run_reference_simulation), which the lane engine is
+// pinned bit-identical to by tests/test_lane_sim_fuzz.
 //
 // ProbeRecorder is the standard observer: a compact columnar buffer
 // (one vector per series plus a samples x ports matrix of per-port

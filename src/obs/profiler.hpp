@@ -57,7 +57,7 @@ class Profiler {
     if (enabled) set_enabled(true);
   }
 
-  /// Interns `name` ("sim.arrival", "dist.claim", ...); idempotent.
+  /// Interns `name` ("exp.unit", "dist.claim", ...); idempotent.
   [[nodiscard]] PhaseId phase(std::string_view name);
 
   /// Records one completed scope of `id` lasting `duration_ns`,
@@ -149,26 +149,6 @@ class ScopedPhase {
   Profiler& profiler_;
   PhaseId phase_;
   std::uint64_t start_ns_ = 0;
-};
-
-/// Compile-time-optional ScopedPhase: the <false> specialization is an
-/// empty type, so profiled and unprofiled instantiations of a hot loop
-/// share source while the unprofiled one stays byte-for-byte free of
-/// timer code.
-template <bool kEnabled>
-class MaybeScopedPhase;
-
-template <>
-class MaybeScopedPhase<true> : public ScopedPhase {
- public:
-  using ScopedPhase::ScopedPhase;
-};
-
-template <>
-class MaybeScopedPhase<false> {
- public:
-  explicit MaybeScopedPhase(PhaseId) noexcept {}
-  void finish() noexcept {}
 };
 
 }  // namespace sfab::obs

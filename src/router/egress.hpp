@@ -19,9 +19,8 @@ class EgressCollector final : public EgressSink {
  public:
   explicit EgressCollector(unsigned ports);
 
-  /// Inline (and the class final): the fabrics call this once per delivered
-  /// word, and the monomorphized router loop devirtualizes it entirely.
-  /// The global word count is derived lazily from the per-port counters
+  /// Inline: the fabrics call this once per delivered word. The global
+  /// word count is derived lazily from the per-port counters
   /// (words_delivered()), keeping this path at one counter bump per word.
   void deliver(PortId egress, const Flit& flit) override {
     if (egress >= ports_) throw std::out_of_range("EgressCollector: bad port");

@@ -85,29 +85,6 @@ class IngressUnit {
     return flit;
   }
 
-  /// peek_flit() + advance() fused: builds the current word's flit and
-  /// consumes it — the router's per-word fast path (single streaming check
-  /// and queue-front load; the caller injects the returned flit).
-  [[nodiscard]] Flit emit_word(Cycle now) {
-    check_streaming();
-    const Packet& p = queue_.front();
-    Flit flit;
-    flit.data = arena_->word(p, word_index_);
-    flit.dest = p.dest;
-    flit.packet_id = p.id;
-    flit.seq = word_index_;
-    ++word_index_;
-    if (word_index_ == p.word_count) {
-      flit.tail = true;
-      arena_->release(p);
-      queue_.pop();
-      streaming_ = false;
-      word_index_ = 0;
-      ++packets_sent_;
-      head_since_ = now;  // the next packet (if any) becomes head now
-    }
-    return flit;
-  }
   [[nodiscard]] bool peek_is_tail() const {
     check_streaming();
     return word_index_ + 1 == queue_.front().word_count;

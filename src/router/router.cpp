@@ -3,9 +3,6 @@
 #include <stdexcept>
 
 #include "common/bitops.hpp"
-#include "fabric/crossbar.hpp"
-#include "fabric/fully_connected.hpp"
-#include "router/phases.hpp"
 
 namespace sfab {
 
@@ -35,8 +32,7 @@ Router::Router(std::unique_ptr<SwitchFabric> fabric,
   arrivals_.reserve(fabric_->ports());
 }
 
-template <class FabricT, bool kProfiled>
-void Router::step_impl(FabricT& fabric) {
+void Router::step() {
   egress_.set_now(cycle_);
 
   const bool small_radix = ports() <= 64;
@@ -45,7 +41,6 @@ void Router::step_impl(FabricT& fabric) {
   // idle, empty ingress becomes that port's head-of-line packet and joins
   // its destination's contender list.
   if (traffic_enabled_) {
-    const obs::MaybeScopedPhase<kProfiled> timer(sim_phases().arrival);
     arrivals_.clear();
     traffic_->poll_cycle(cycle_, arena_, arrivals_);
     for (const Packet& packet : arrivals_) {
@@ -64,160 +59,84 @@ void Router::step_impl(FabricT& fabric) {
   // locked, so the arbiter only sees the contenders of just-freed ports.
   // Winner selection inside arbitrate() is order-independent and the mask
   // walks ascending, so the grants are identical to a scan-built list's.
-  {
-    const obs::MaybeScopedPhase<kProfiled> timer(sim_phases().arbitration);
-    requests_.clear();
-    if (small_radix) {
-      for_each_set_bit(contender_mask_ & ~arbiter_.locked_mask(), 0,
-                       [&](unsigned bit) {
-                         const auto e = static_cast<PortId>(bit);
-                         for (const PortId p : contenders_[e]) {
-                           requests_.push_back(ArbiterRequest{
-                               p, e, ingresses_[p].head_since()});
-                         }
-                       });
-    } else {
-      for (PortId e = 0; e < ports(); ++e) {
-        if (contenders_[e].empty() || arbiter_.locked(e)) continue;
-        for (const PortId p : contenders_[e]) {
-          requests_.push_back(ArbiterRequest{p, e, ingresses_[p].head_since()});
-        }
-      }
-    }
-    if (!requests_.empty()) {
-      for (const ArbiterRequest& grant : arbiter_.arbitrate(requests_)) {
-        arbiter_.lock(grant.egress);
-        ingresses_[grant.ingress].grant(cycle_);
-        streaming_mask_ |= mask_bit(grant.ingress);
-        egress_.note_head_injected(
-            ingresses_[grant.ingress].streaming_packet_id(), cycle_);
-        remove_contender(grant.egress, grant.ingress);
-        ++grants_;
-      }
-    }
-  }
-
-  // 3 + 4. Word injection and fabric advance. Bufferless single-slot
-  // fabrics expose a fused transfer(): every injected word is delivered at
-  // this cycle's tick and the fabric can always accept, so each word goes
-  // straight through — same per-row op order as inject()+tick(), minus the
-  // slot round-trip and a second scan. Other fabrics take the generic
-  // inject-then-tick path with back-pressure.
-  obs::MaybeScopedPhase<kProfiled> transfer_timer(sim_phases().transfer);
-  const bool fixed_latency = fabric.fixed_latency();
-  if constexpr (requires {
-                  fabric.begin_cycle();
-                  fabric.transfer(PortId{}, Flit{}, egress_);
-                }) {
-    fabric.begin_cycle();
-    const auto emit_one = [&](PortId p) {
-      IngressUnit& in = ingresses_[p];
-      const Flit flit = in.emit_word(cycle_);
-      fabric.transfer(p, flit, egress_);
-      if (flit.tail) {
-        streaming_mask_ &= ~mask_bit(p);
-        // Fixed-latency pipelines cannot reorder or overlap packets, so
-        // the egress frees up as soon as the tail goes in.
-        if (fixed_latency) arbiter_.unlock(flit.dest);
-        // The next queued packet (if any) just became head-of-line.
-        if (const Packet* hol = in.head_of_line()) {
-          add_contender(hol->dest, p);
-        }
-      }
-    };
-    if (small_radix) {
-      // for_each_set_bit walks a copy of the mask, so emit_one clearing
-      // tail bits out of streaming_mask_ mid-walk is safe.
-      for_each_set_bit(streaming_mask_, 0, [&](unsigned p) {
-        emit_one(static_cast<PortId>(p));
-      });
-    } else {
-      for (PortId p = 0; p < ports(); ++p) {
-        if (ingresses_[p].streaming()) emit_one(p);
-      }
-    }
+  requests_.clear();
+  if (small_radix) {
+    for_each_set_bit(contender_mask_ & ~arbiter_.locked_mask(), 0,
+                     [&](unsigned bit) {
+                       const auto e = static_cast<PortId>(bit);
+                       for (const PortId p : contenders_[e]) {
+                         requests_.push_back(ArbiterRequest{
+                             p, e, ingresses_[p].head_since()});
+                       }
+                     });
   } else {
-    const auto try_inject = [&](PortId p) {
-      IngressUnit& in = ingresses_[p];
-      if (!fabric.can_accept(p)) return;
-      const Flit flit = in.peek_flit();
-      fabric.inject(p, flit);
-      in.advance(cycle_);
-      if (flit.tail) {
-        streaming_mask_ &= ~mask_bit(p);
-        // Egress frees at tail injection for fixed-latency pipelines;
-        // buffered fabrics wait for the tail to come out (step 5).
-        if (fixed_latency) arbiter_.unlock(flit.dest);
-        // The next queued packet (if any) just became head-of-line.
-        if (const Packet* hol = in.head_of_line()) {
-          add_contender(hol->dest, p);
-        }
-      }
-    };
-    if (small_radix) {
-      for_each_set_bit(streaming_mask_, 0, [&](unsigned p) {
-        try_inject(static_cast<PortId>(p));
-      });
-    } else {
-      for (PortId p = 0; p < ports(); ++p) {
-        if (ingresses_[p].streaming()) try_inject(p);
+    for (PortId e = 0; e < ports(); ++e) {
+      if (contenders_[e].empty() || arbiter_.locked(e)) continue;
+      for (const PortId p : contenders_[e]) {
+        requests_.push_back(ArbiterRequest{p, e, ingresses_[p].head_since()});
       }
     }
-    // Fabric advances; deliveries hit the egress collector. The
-    // monomorphized tick (when present) devirtualizes deliver() too.
-    if constexpr (requires { fabric.tick_impl(egress_); }) {
-      fabric.tick_impl(egress_);
-    } else {
-      fabric.tick(egress_);
+  }
+  if (!requests_.empty()) {
+    for (const ArbiterRequest& grant : arbiter_.arbitrate(requests_)) {
+      arbiter_.lock(grant.egress);
+      ingresses_[grant.ingress].grant(cycle_);
+      streaming_mask_ |= mask_bit(grant.ingress);
+      egress_.note_head_injected(
+          ingresses_[grant.ingress].streaming_packet_id(), cycle_);
+      remove_contender(grant.egress, grant.ingress);
+      ++grants_;
     }
   }
 
-  transfer_timer.finish();
+  // 3. Word injection, with back-pressure.
+  const bool fixed_latency = fabric_->fixed_latency();
+  const auto try_inject = [&](PortId p) {
+    IngressUnit& in = ingresses_[p];
+    if (!fabric_->can_accept(p)) return;
+    const Flit flit = in.peek_flit();
+    fabric_->inject(p, flit);
+    in.advance(cycle_);
+    if (flit.tail) {
+      streaming_mask_ &= ~mask_bit(p);
+      // Egress frees at tail injection for fixed-latency pipelines;
+      // buffered fabrics wait for the tail to come out (step 5).
+      if (fixed_latency) arbiter_.unlock(flit.dest);
+      // The next queued packet (if any) just became head-of-line.
+      if (const Packet* hol = in.head_of_line()) {
+        add_contender(hol->dest, p);
+      }
+    }
+  };
+  if (small_radix) {
+    // for_each_set_bit walks a copy of the mask, so try_inject clearing
+    // tail bits out of streaming_mask_ mid-walk is safe.
+    for_each_set_bit(streaming_mask_, 0, [&](unsigned p) {
+      try_inject(static_cast<PortId>(p));
+    });
+  } else {
+    for (PortId p = 0; p < ports(); ++p) {
+      if (ingresses_[p].streaming()) try_inject(p);
+    }
+  }
+
+  // 4. Fabric advances; deliveries hit the egress collector.
+  fabric_->tick(egress_);
 
   // 5. Unlock egresses whose packet tail arrived (variable-latency
   // fabrics only; fixed-latency ones already unlocked at tail injection).
-  obs::MaybeScopedPhase<kProfiled> accounting_timer(sim_phases().accounting);
   if (!fixed_latency) {
     for (const PortId egress : egress_.pending_unlocks()) {
       arbiter_.unlock(egress);
     }
   }
   egress_.pending_unlocks().clear();
-  accounting_timer.finish();
 
   ++cycle_;
 }
 
-void Router::step() { step_impl(*fabric_); }
-
 void Router::run(Cycle cycles) {
-  // Monomorphized loops for the bufferless single-slot fabrics: with the
-  // concrete type visible, the per-word can_accept/inject/tick/deliver
-  // chain fully inlines (the dynamic_cast runs once per run(), not per
-  // cycle). Phase timing instantiates separate profiled loops so the
-  // default path carries no timer code at all.
-  if (obs::Profiler::global().enabled()) {
-    if (auto* xbar = dynamic_cast<CrossbarFabric*>(fabric_.get())) {
-      for (Cycle c = 0; c < cycles; ++c) step_impl<CrossbarFabric, true>(*xbar);
-    } else if (auto* fc =
-                   dynamic_cast<FullyConnectedFabric*>(fabric_.get())) {
-      for (Cycle c = 0; c < cycles; ++c) {
-        step_impl<FullyConnectedFabric, true>(*fc);
-      }
-    } else {
-      for (Cycle c = 0; c < cycles; ++c) {
-        step_impl<SwitchFabric, true>(*fabric_);
-      }
-    }
-    return;
-  }
-  if (auto* xbar = dynamic_cast<CrossbarFabric*>(fabric_.get())) {
-    for (Cycle c = 0; c < cycles; ++c) step_impl(*xbar);
-  } else if (auto* fc = dynamic_cast<FullyConnectedFabric*>(fabric_.get())) {
-    for (Cycle c = 0; c < cycles; ++c) step_impl(*fc);
-  } else {
-    for (Cycle c = 0; c < cycles; ++c) step_impl(*fabric_);
-  }
+  for (Cycle c = 0; c < cycles; ++c) step();
 }
 
 bool Router::drain(Cycle max_cycles) {

@@ -48,9 +48,7 @@ class Router {
   /// Advances one clock cycle.
   void step();
 
-  /// Runs `cycles` cycles. Dispatches once to a loop monomorphized on the
-  /// concrete fabric type where possible (bufferless single-slot fabrics),
-  /// removing the per-word virtual can_accept/inject/tick/deliver chain.
+  /// Runs `cycles` cycles.
   void run(Cycle cycles);
 
   /// Stops traffic generation (drain mode) or restarts it.
@@ -89,15 +87,6 @@ class Router {
   [[nodiscard]] const PacketArena& arena() const noexcept { return arena_; }
 
  private:
-  /// One cycle against `fabric`, whose static type steers inlining: the
-  /// generic step() instantiates it with SwitchFabric (virtual dispatch),
-  /// run() with the concrete fabric class where one is recognized.
-  /// kProfiled adds scoped phase timers (run() picks the profiled
-  /// instantiations when the profiler is enabled); the default
-  /// instantiation is byte-for-byte free of timer code.
-  template <class FabricT, bool kProfiled = false>
-  void step_impl(FabricT& fabric);
-
   [[nodiscard]] static std::uint64_t mask_bit(PortId p) noexcept {
     return p < 64 ? std::uint64_t{1} << p : 0;
   }

@@ -1,12 +1,8 @@
 #include "router/voq_router.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "common/bitops.hpp"
-#include "fabric/crossbar.hpp"
-#include "fabric/fully_connected.hpp"
-#include "router/phases.hpp"
 
 namespace sfab {
 
@@ -43,13 +39,11 @@ VoqRouter::VoqRouter(std::unique_ptr<SwitchFabric> fabric,
   arrivals_.reserve(fabric_->ports());
 }
 
-template <class FabricT, bool kProfiled>
-void VoqRouter::step_impl(FabricT& fabric) {
+void VoqRouter::step() {
   egress_.set_now(cycle_);
 
   // 1. Traffic arrivals into the VOQ banks.
   if (traffic_enabled_) {
-    const obs::MaybeScopedPhase<kProfiled> timer(sim_phases().arrival);
     arrivals_.clear();
     traffic_->poll_cycle(cycle_, arena_, arrivals_);
     for (const Packet& packet : arrivals_) {
@@ -61,35 +55,22 @@ void VoqRouter::step_impl(FabricT& fabric) {
   // request matrix is never materialized: the banks' occupancy rows are
   // maintained on enqueue/pop and the availability masks where streaming
   // slots and egress locks change.
-  {
-    const obs::MaybeScopedPhase<kProfiled> timer(sim_phases().arbitration);
-    for (const Match& m : islip_.match_banks(banks_, ingress_free_,
-                                             egress_free_)) {
-      StreamingPacket s;
-      s.packet = banks_[m.ingress].pop(m.egress);
-      egress_.note_head_injected(s.packet.id, cycle_);
-      streaming_[m.ingress] = s;
-      clear_bit(ingress_free_.data(), m.ingress);
-      clear_bit(egress_free_.data(), m.egress);
-      ++grants_;
-    }
+  for (const Match& m :
+       islip_.match_banks(banks_, ingress_free_, egress_free_)) {
+    StreamingPacket s;
+    s.packet = banks_[m.ingress].pop(m.egress);
+    egress_.note_head_injected(s.packet.id, cycle_);
+    streaming_[m.ingress] = s;
+    clear_bit(ingress_free_.data(), m.ingress);
+    clear_bit(egress_free_.data(), m.egress);
+    ++grants_;
   }
 
-  // 3 + 4. Word injection and fabric advance (fused for bufferless
-  // single-slot fabrics, generic inject-then-tick otherwise; see Router).
-  obs::MaybeScopedPhase<kProfiled> transfer_timer(sim_phases().transfer);
-  const bool fixed_latency = fabric.fixed_latency();
-  constexpr bool kFused = requires {
-    fabric.begin_cycle();
-    fabric.transfer(PortId{}, Flit{}, egress_);
-  };
-  if constexpr (kFused) fabric.begin_cycle();
+  // 3. Word injection, with back-pressure.
+  const bool fixed_latency = fabric_->fixed_latency();
   for (PortId p = 0; p < ports(); ++p) {
     auto& slot = streaming_[p];
-    if (!slot.has_value()) continue;
-    if constexpr (!kFused) {
-      if (!fabric.can_accept(p)) continue;
-    }
+    if (!slot.has_value() || !fabric_->can_accept(p)) continue;
     const Packet& packet = slot->packet;
     Flit flit;
     flit.data = arena_.word(packet, slot->word);
@@ -97,11 +78,7 @@ void VoqRouter::step_impl(FabricT& fabric) {
     flit.tail = (slot->word + 1 == packet.word_count);
     flit.packet_id = packet.id;
     flit.seq = slot->word;
-    if constexpr (kFused) {
-      fabric.transfer(p, flit, egress_);
-    } else {
-      fabric.inject(p, flit);
-    }
+    fabric_->inject(p, flit);
     ++slot->word;
     if (flit.tail) {
       if (fixed_latency) set_bit(egress_free_.data(), flit.dest);
@@ -110,55 +87,23 @@ void VoqRouter::step_impl(FabricT& fabric) {
       set_bit(ingress_free_.data(), p);
     }
   }
-  if constexpr (!kFused) {
-    if constexpr (requires { fabric.tick_impl(egress_); }) {
-      fabric.tick_impl(egress_);
-    } else {
-      fabric.tick(egress_);
-    }
-  }
-  transfer_timer.finish();
+
+  // 4. Fabric advances; deliveries hit the egress collector.
+  fabric_->tick(egress_);
 
   // 5. Variable-latency fabrics free their egress on tail delivery.
-  obs::MaybeScopedPhase<kProfiled> accounting_timer(sim_phases().accounting);
   if (!fixed_latency) {
     for (const PortId egress : egress_.pending_unlocks()) {
       set_bit(egress_free_.data(), egress);
     }
   }
   egress_.pending_unlocks().clear();
-  accounting_timer.finish();
 
   ++cycle_;
 }
 
-void VoqRouter::step() { step_impl(*fabric_); }
-
 void VoqRouter::run(Cycle cycles) {
-  // Phase timing instantiates separate profiled loops so the default
-  // path carries no timer code at all (see Router::run).
-  if (obs::Profiler::global().enabled()) {
-    if (auto* xbar = dynamic_cast<CrossbarFabric*>(fabric_.get())) {
-      for (Cycle c = 0; c < cycles; ++c) step_impl<CrossbarFabric, true>(*xbar);
-    } else if (auto* fc =
-                   dynamic_cast<FullyConnectedFabric*>(fabric_.get())) {
-      for (Cycle c = 0; c < cycles; ++c) {
-        step_impl<FullyConnectedFabric, true>(*fc);
-      }
-    } else {
-      for (Cycle c = 0; c < cycles; ++c) {
-        step_impl<SwitchFabric, true>(*fabric_);
-      }
-    }
-    return;
-  }
-  if (auto* xbar = dynamic_cast<CrossbarFabric*>(fabric_.get())) {
-    for (Cycle c = 0; c < cycles; ++c) step_impl(*xbar);
-  } else if (auto* fc = dynamic_cast<FullyConnectedFabric*>(fabric_.get())) {
-    for (Cycle c = 0; c < cycles; ++c) step_impl(*fc);
-  } else {
-    for (Cycle c = 0; c < cycles; ++c) step_impl(*fabric_);
-  }
+  for (Cycle c = 0; c < cycles; ++c) step();
 }
 
 bool VoqRouter::drain(Cycle max_cycles) {

@@ -42,8 +42,6 @@ class VoqRouter {
   VoqRouter& operator=(VoqRouter&&) = delete;
 
   void step();
-  /// Runs `cycles` cycles, monomorphized on the concrete fabric type where
-  /// possible (see Router::run).
   void run(Cycle cycles);
   void set_traffic_enabled(bool enabled) noexcept {
     traffic_enabled_ = enabled;
@@ -77,12 +75,6 @@ class VoqRouter {
     Packet packet;
     std::uint32_t word = 0;
   };
-
-  /// One cycle against `fabric`; static type steers inlining (see
-  /// Router). kProfiled adds scoped phase timers; the default
-  /// instantiation is byte-for-byte free of timer code.
-  template <class FabricT, bool kProfiled = false>
-  void step_impl(FabricT& fabric);
 
   std::unique_ptr<SwitchFabric> fabric_;
   std::unique_ptr<TrafficSource> traffic_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <stdexcept>
 #include <string>
 
 #include "common/bitops.hpp"
@@ -10,25 +9,6 @@
 #include "sim/lane_sim_kernels.hpp"
 
 namespace sfab {
-
-std::string_view to_string(ReplicateEngine engine) noexcept {
-  switch (engine) {
-    case ReplicateEngine::kScalar:
-      return "scalar";
-    case ReplicateEngine::kLaned:
-      return "laned";
-  }
-  return "unknown";
-}
-
-ReplicateEngine parse_replicate_engine(std::string_view name) {
-  for (const ReplicateEngine engine :
-       {ReplicateEngine::kScalar, ReplicateEngine::kLaned}) {
-    if (name == to_string(engine)) return engine;
-  }
-  throw std::invalid_argument("parse_replicate_engine: unknown engine \"" +
-                              std::string(name) + "\"");
-}
 
 std::string_view to_string(LaneFallbackReason reason) noexcept {
   switch (reason) {
@@ -60,8 +40,8 @@ std::string_view to_string(LaneFallbackReason reason) noexcept {
 
 LaneFallbackReason lane_sim_fallback_reason(const SimConfig& c) noexcept {
   using R = LaneFallbackReason;
-  // Every scheme is sliced (VOQ/iSLIP and FIFO/HOL fronts); the check
-  // guards a future enum extension from mis-slicing.
+  // Every scheme is laned (VOQ/iSLIP and FIFO/HOL fronts); the check
+  // guards a future enum extension from running on the wrong front.
   if (c.scheme != RouterScheme::kVoq && c.scheme != RouterScheme::kFifo) {
     return R::kScheme;
   }
@@ -87,7 +67,7 @@ LaneFallbackReason lane_sim_fallback_reason(const SimConfig& c) noexcept {
       c.ingress_queue_packets > (std::size_t{1} << 20)) {
     return R::kQueue;
   }
-  if (c.measure_cycles == 0) return R::kMeasure;  // the scalar engine throws
+  if (c.measure_cycles == 0) return R::kMeasure;  // the reference throws
   // The staged lane fabrics stamp flits with 32-bit injection cycles and
   // (Batcher-Banyan) 32-bit packet ids. Bound the cycle horizon so neither
   // can wrap: ids advance at most `ports` per cycle. Scalar runs at these
@@ -103,8 +83,8 @@ LaneFallbackReason lane_sim_fallback_reason(const SimConfig& c) noexcept {
     }
   }
 
-  // Configurations the scalar constructors reject run through the fallback
-  // so the exception surfaces exactly as it would from run_simulation.
+  // Configurations the reference constructors reject run through the
+  // fallback so the exception surfaces exactly as the reference throws it.
   const double rate = c.offered_load / c.packet_words;
   switch (c.pattern) {
     case TrafficPatternKind::kUniform:
@@ -131,7 +111,7 @@ LaneFallbackReason lane_sim_fallback_reason(const SimConfig& c) noexcept {
   }
 
   // Plane-state footprint of a full 64-lane pass, capped at ~512 MB;
-  // larger configs run per-lane scalar. The ingress front keeps
+  // larger configs run per lane on the reference. The ingress front keeps
   // capacity(+1) packet slots per bank (a granted packet streams out of
   // its slot until the tail leaves); the fused engines add their energy
   // LUTs + deferred event buffers, the staged fabrics their per-stage
@@ -181,19 +161,13 @@ bool lane_sim_supported(const SimConfig& c) noexcept {
 
 namespace {
 
-/// Picks the pass kernel once per process: the widest ISA TU that was
-/// built AND that the running CPU supports, the portable TU otherwise
-/// (mirrors gatelevel's resolve_lane_kernel).
-detail::LanePassFn resolve_lane_pass() noexcept {
+/// The POPCNT pass when it was built and the running CPU has POPCNT,
+/// nullptr otherwise.
+detail::LanePassFn popcnt_pass() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("popcnt")) {
-    if (const detail::LanePassFn fn = detail::lane_pass_avx2()) return fn;
-  }
-  if (__builtin_cpu_supports("popcnt")) {
-    if (const detail::LanePassFn fn = detail::lane_pass_popcnt()) return fn;
-  }
+  if (__builtin_cpu_supports("popcnt")) return detail::lane_pass_popcnt();
 #endif
-  return detail::lane_pass_portable();
+  return nullptr;
 }
 
 }  // namespace
@@ -240,23 +214,23 @@ std::vector<SimResult> run_lane_simulations(
     reason = LaneFallbackReason::kObserver;
   }
   if (reason != LaneFallbackReason::kNone) {
-    // Per-lane scalar fallback behind the same interface: identical
-    // results (and identical exceptions) at scalar speed. Observed
-    // batches take this path too — the sliced engine has no per-lane
-    // cycle boundary — with the observer on lane 0 only.
+    // Per-lane reference fallback behind the same interface: identical
+    // results (and identical exceptions) at reference speed. Observed
+    // batches take this path too, with the observer on lane 0 only.
     fallback_lanes.add(lane_seeds.size());
     fallback_reasons[static_cast<std::size_t>(reason)]->add(
         lane_seeds.size());
     results.reserve(lane_seeds.size());
     for (const std::uint64_t seed : lane_seeds) {
-      SimConfig scalar = config;
-      scalar.seed = seed;
-      results.push_back(run_simulation(
-          scalar, results.empty() ? observer : nullptr));
+      SimConfig lane = config;
+      lane.seed = seed;
+      results.push_back(run_reference_simulation(
+          lane, results.empty() ? observer : nullptr));
     }
     return results;
   }
-  static const detail::LanePassFn pass = resolve_lane_pass();
+  static const detail::LanePassFn pass =
+      popcnt_pass() != nullptr ? popcnt_pass() : detail::lane_pass_portable();
   results.resize(lane_seeds.size());
   for (std::size_t first = 0; first < lane_seeds.size(); first += 64) {
     const auto lanes = static_cast<unsigned>(
@@ -269,17 +243,7 @@ std::vector<SimResult> run_lane_simulations(
 }
 
 std::string_view lane_sim_kernel_name() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("popcnt") &&
-      detail::lane_pass_avx2() != nullptr) {
-    return "avx2";
-  }
-  if (__builtin_cpu_supports("popcnt") &&
-      detail::lane_pass_popcnt() != nullptr) {
-    return "popcnt";
-  }
-#endif
-  return "portable";
+  return popcnt_pass() != nullptr ? "popcnt" : "portable";
 }
 
 }  // namespace sfab

@@ -1,16 +1,16 @@
-// Internal dispatch surface for the lane-sim pass kernels.
+// Internal dispatch surface for the lane-engine pass kernels.
 //
 // The lane engine's hot loop popcounts two wire-flip masks per streamed
 // word. The library is built for baseline x86-64, where std::popcount
 // lowers to a ~15-op bit-hack that dominates the cycle loop; with the
-// POPCNT instruction the same loop is several times faster. Following the
-// gatelevel lane_kernels pattern, the whole engine body
-// (lane_sim_engine.ipp) is compiled twice: once portably
-// (lane_sim_portable.cpp, always available) and once in a TU with the
-// per-TU -mpopcnt flag (lane_sim_popcnt.cpp, see CMakeLists.txt), reached
-// only behind a runtime CPU-feature check. Both TUs run the identical
-// statement sequence — same draws, same floating-point accumulation order
-// — so results are bit-identical across kernels by construction.
+// POPCNT instruction the same loop is several times faster. So the whole
+// engine body (lane_sim_engine.ipp) is compiled twice: once portably
+// (lane_sim_portable.cpp, always available and the only kernel on
+// non-x86 hosts) and once in a TU with the per-TU -mpopcnt flag
+// (lane_sim_popcnt.cpp, see CMakeLists.txt), reached only behind a
+// runtime CPU-feature check. Both TUs run the identical statement
+// sequence — same draws, same floating-point accumulation order — so
+// results are bit-identical across kernels by construction.
 #pragma once
 
 #include <cstdint>
@@ -33,10 +33,5 @@ using LanePassFn = void (*)(const SimConfig& config,
 /// Callers must additionally confirm the running CPU has POPCNT before
 /// invoking the returned function.
 [[nodiscard]] LanePassFn lane_pass_popcnt() noexcept;
-
-/// AVX2 + POPCNT engine (vectorized arrival coins); nullptr when the TU
-/// was built without AVX2. Callers must additionally confirm the running
-/// CPU has AVX2 and POPCNT before invoking the returned function.
-[[nodiscard]] LanePassFn lane_pass_avx2() noexcept;
 
 }  // namespace sfab::detail

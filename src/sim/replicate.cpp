@@ -61,9 +61,9 @@ ReplicatedResult replicate(SimConfig config, unsigned replications,
   } else {
     runs.reserve(replications);
     for (const std::uint64_t seed : seeds) {
-      SimConfig scalar = config;
-      scalar.seed = seed;
-      runs.push_back(run_simulation(scalar));
+      SimConfig reference = config;
+      reference.seed = seed;
+      runs.push_back(run_reference_simulation(reference));
     }
   }
 

@@ -54,11 +54,11 @@ struct ReplicatedResult {
 /// derive_stream_seed(config.seed, k) for replicate k, the same derivation
 /// SweepSpec uses — and summarizes. replications must be >= 1.
 ///
-/// The default engine packs the replicates into bit-sliced lanes
-/// (sim/lane_sim.hpp) and runs them through one shared simulation pass;
-/// configurations outside the laned fast path fall back to per-replicate
-/// scalar runs automatically. Either engine choice yields bit-identical
-/// results — kScalar exists as the plain reference path.
+/// The default engine runs the replicates as lanes of the lane engine
+/// (sim/lane_sim.hpp); configurations it does not cover fall back to
+/// per-replicate reference runs automatically. Either engine choice
+/// yields bit-identical results — kScalar runs run_reference_simulation
+/// per seed, the oracle.
 [[nodiscard]] ReplicatedResult replicate(
     SimConfig config, unsigned replications,
     ReplicateEngine engine = ReplicateEngine::kLaned);

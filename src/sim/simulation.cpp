@@ -6,6 +6,7 @@
 #include "obs/probe.hpp"
 #include "obs/registry.hpp"
 #include "router/voq_router.hpp"
+#include "sim/lane_sim.hpp"
 
 namespace sfab {
 
@@ -87,10 +88,8 @@ FabricConfig make_fabric_config(const SimConfig& config) {
   return fc;
 }
 
-/// Runs `cycles` through the generic step() path, sampling for
-/// `observer` at its stride (and on the final cycle of the window).
-/// step() and the monomorphized run() loops are pinned bit-identical by
-/// tests/test_bit_identity, and sampling only reads counters the
+/// Runs `cycles` cycles, sampling for `observer` at its stride (and on
+/// the final cycle of the window). Sampling only reads counters the
 /// simulation maintains anyway, so observation never changes a result.
 template <class AnyRouter>
 void run_observed(AnyRouter& router, Cycle cycles, const SimConfig& config,
@@ -193,6 +192,11 @@ SimResult run_simulation(const SimConfig& config) {
 }
 
 SimResult run_simulation(const SimConfig& config, obs::SimObserver* observer) {
+  return run_lane_simulations(config, {config.seed}, observer)[0];
+}
+
+SimResult run_reference_simulation(const SimConfig& config,
+                                   obs::SimObserver* observer) {
   if (config.measure_cycles == 0) {
     throw std::invalid_argument("run_simulation: measure_cycles >= 1");
   }

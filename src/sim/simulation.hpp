@@ -1,10 +1,12 @@
 // One-call simulation harness: configure, run, get measurements.
 //
-// This replaces the paper's Simulink platform. A run builds the traffic
-// generator, router and fabric, executes a warm-up window (energy and
-// counters then reset so measurements capture steady state), measures for
-// the configured window, and reports throughput, power split by component,
-// energy per bit and latency.
+// This replaces the paper's Simulink platform. A run executes a warm-up
+// window (energy and counters then reset so measurements capture steady
+// state), measures for the configured window, and reports throughput,
+// power split by component, energy per bit and latency. run_simulation
+// takes the lane engine (sim/lane_sim.hpp); run_reference_simulation
+// builds the traffic generator, router and fabric objects and steps them,
+// and is what the lane engine is pinned against.
 #pragma once
 
 #include <cstdint>
@@ -114,17 +116,28 @@ namespace obs {
 class SimObserver;
 }
 
-/// Runs one simulation to completion and returns its measurements.
-/// Side-effect-free: concurrent calls with independent configs are safe,
-/// which is what exp/SweepRunner exploits.
+/// Runs one simulation to completion and returns its measurements:
+/// run_lane_simulations(config, {config.seed})[0] (sim/lane_sim.hpp), so
+/// every supported config takes the lane engine and the rest fall back to
+/// run_reference_simulation. Side-effect-free: concurrent calls with
+/// independent configs are safe, which is what exp/SweepRunner exploits.
 [[nodiscard]] SimResult run_simulation(const SimConfig& config);
 
 /// Observed variant: `observer` (nullable) receives a CycleSample every
 /// observer->stride() cycles across warmup and measurement. Observation
 /// is passive — the returned SimResult is bit-identical to the
-/// unobserved overload (enforced by tests/test_obs_identity.cpp).
+/// unobserved overload (enforced by tests/test_obs_identity.cpp). An
+/// observed run is counted in sim.lane.fallback.observer and runs on the
+/// reference engine.
 [[nodiscard]] SimResult run_simulation(const SimConfig& config,
                                        obs::SimObserver* observer);
+
+/// The reference engine: one Router or VoqRouter over a SwitchFabric,
+/// stepped cycle by cycle. It runs what the lane engine does not cover
+/// (mesh, > 64 ports, observed runs, configs the constructors reject)
+/// and is the oracle the lane engine is pinned against bit for bit.
+[[nodiscard]] SimResult run_reference_simulation(
+    const SimConfig& config, obs::SimObserver* observer = nullptr);
 
 // Sweeps over SimConfig axes live in the experiment layer: see
 // exp/spec.hpp (SweepSpec) and exp/runner.hpp (SweepRunner,

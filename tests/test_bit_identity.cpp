@@ -1,12 +1,14 @@
 // Bit-identity regression against the pre-arena engine.
 //
-// The packet-arena / ring-buffer / monomorphized-router rework (PR 2) must
-// not change a single bit of any measurement: these golden values were
-// recorded by running the PR-1 engine (commit 4a5196b) on the configs
-// below, with doubles captured as hexfloats. Every assertion is an exact
-// comparison — EXPECT_EQ on doubles is deliberate. If an optimization
-// legitimately needs to change simulation results, that is a behavioral
-// change to be made explicitly, not a by-product of performance work.
+// No rework of either packet engine may change a single bit of any
+// measurement: these golden values were recorded by running the first
+// engine (commit 4a5196b) on the configs below, with doubles captured as
+// hexfloats. Each golden is asserted through run_simulation (the lane
+// engine, or its fallback for mesh) and through run_reference_simulation.
+// Every assertion is an exact comparison — EXPECT_EQ on doubles is
+// deliberate. If an optimization legitimately needs to change simulation
+// results, that is a behavioral change to be made explicitly, not a
+// by-product of performance work.
 #include <gtest/gtest.h>
 
 #include <string_view>
@@ -92,27 +94,35 @@ SimConfig config_named(std::string_view name) {
   throw std::logic_error("unknown golden config");
 }
 
+void expect_golden(const SimResult& r, const Golden& golden) {
+  EXPECT_EQ(r.delivered_words, golden.delivered_words);
+  EXPECT_EQ(r.delivered_packets, golden.delivered_packets);
+  EXPECT_EQ(r.input_queue_drops, golden.input_queue_drops);
+  EXPECT_EQ(r.egress_throughput, golden.egress_throughput);
+  EXPECT_EQ(r.power_w, golden.power_w);
+  EXPECT_EQ(r.mean_packet_latency_cycles, golden.mean_packet_latency_cycles);
+}
+
 TEST(BitIdentity, ArenaEngineReproducesSeedEngineExactly) {
   for (const Golden& golden : kGoldens) {
     SCOPED_TRACE(std::string(golden.name));
-    const SimResult r = run_simulation(config_named(golden.name));
-    EXPECT_EQ(r.delivered_words, golden.delivered_words);
-    EXPECT_EQ(r.delivered_packets, golden.delivered_packets);
-    EXPECT_EQ(r.input_queue_drops, golden.input_queue_drops);
-    EXPECT_EQ(r.egress_throughput, golden.egress_throughput);
-    EXPECT_EQ(r.power_w, golden.power_w);
-    EXPECT_EQ(r.mean_packet_latency_cycles,
-              golden.mean_packet_latency_cycles);
+    const SimConfig config = config_named(golden.name);
+    {
+      SCOPED_TRACE("run_simulation");
+      expect_golden(run_simulation(config), golden);
+    }
+    {
+      SCOPED_TRACE("run_reference_simulation");
+      expect_golden(run_reference_simulation(config), golden);
+    }
   }
 }
 
 TEST(BitIdentity, StepAndRunPathsAgree) {
-  // run() takes the monomorphized fast loop, per-cycle step() the generic
-  // virtual one; both must produce identical measurements.
+  // The reference Router driven by run() and by per-cycle step() must
+  // produce identical measurements, and the golden must hold.
   const SimConfig config = config_named("crossbar_fifo_uniform");
   const SimResult fast = run_simulation(config);
-  // run_simulation drives run(); emulate the generic path by comparing two
-  // engines stepped differently through the public Router interface.
   FabricConfig fc;
   fc.ports = config.ports;
   Router by_run(make_fabric(config.arch, fc),

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -202,6 +203,32 @@ TEST_F(DistTest, PublishRejectsAMismatchedPlan) {
   other = plan;
   other.shard_count = 4;
   EXPECT_THROW(ledger.publish(other), std::runtime_error);
+}
+
+TEST_F(DistTest, ConcurrentPublishersOfOnePlanNeverCollide) {
+  // Threads of one process must never share a temp-file name: 8 threads
+  // publish the same plan into a fresh directory, 100 rounds, and no
+  // publish may throw.
+  const dist::LedgerPlan plan{12, 3, "aaaabbbbccccdddd"};
+  for (int round = 0; round < 100; ++round) {
+    const std::string dir = dir_ + "/round-" + std::to_string(round);
+    const dist::ShardLedger ledger(dir, 30.0);
+    std::atomic<int> failures{0};
+    std::vector<std::thread> publishers;
+    for (int t = 0; t < 8; ++t) {
+      publishers.emplace_back([&] {
+        try {
+          dist::ShardLedger(dir, 30.0).publish(plan);
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << "round " << round << ": " << e.what();
+          failures.fetch_add(1);
+        }
+      });
+    }
+    for (std::thread& publisher : publishers) publisher.join();
+    ASSERT_EQ(failures.load(), 0) << "round " << round;
+    EXPECT_EQ(ledger.plan().fingerprint, plan.fingerprint);
+  }
 }
 
 TEST_F(DistTest, MergeRefusesIncompleteDirectories) {

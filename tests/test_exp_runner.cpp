@@ -8,6 +8,7 @@
 
 #include "common/rng.hpp"
 #include "exp/runner.hpp"
+#include "obs/registry.hpp"
 
 namespace sfab {
 namespace {
@@ -161,6 +162,36 @@ TEST(SweepRunner, ThrowingOnRecordCallbackAbortsTheSweep) {
 
 // --- migrated sweep_offered_load ---------------------------------------------
 
+TEST(SweepRunner, LoneUnitsTakeTheLaneEngineAndScalarTheReference) {
+  // A lone supported run is a 1-lane pass, a lone mesh run an arch
+  // fallback, and kScalar bypasses the lane engine entirely — with
+  // bit-identical records either way.
+  obs::Counter& passes =
+      obs::Registry::global().counter("sim.lane.laned_passes");
+  obs::Counter& arch_fallbacks =
+      obs::Registry::global().counter("sim.lane.fallback.arch");
+  SweepSpec lone;
+  lone.base = quick_base();
+  SweepSpec mesh = lone;
+  mesh.base.arch = Architecture::kMesh;
+
+  const std::uint64_t passes_before = passes.value();
+  const std::uint64_t arch_before = arch_fallbacks.value();
+  const ResultSet laned = SweepRunner(1).run(lone);
+  EXPECT_EQ(passes.value(), passes_before + 1);
+  EXPECT_EQ(arch_fallbacks.value(), arch_before);
+  const ResultSet laned_mesh = SweepRunner(1).run(mesh);
+  EXPECT_EQ(passes.value(), passes_before + 1);
+  EXPECT_EQ(arch_fallbacks.value(), arch_before + 1);
+
+  SweepRunner reference(1);
+  reference.with_engine(ReplicateEngine::kScalar);
+  expect_bit_identical(reference.run(lone), laned);
+  expect_bit_identical(reference.run(mesh), laned_mesh);
+  EXPECT_EQ(passes.value(), passes_before + 1);
+  EXPECT_EQ(arch_fallbacks.value(), arch_before + 1);
+}
+
 TEST(SweepOfferedLoad, RunsEveryLoad) {
   SimConfig base = quick_base();
   base.arch = Architecture::kFullyConnected;
@@ -184,11 +215,12 @@ TEST(SweepOfferedLoad, PairedPointsShareOneDerivedSeed) {
   EXPECT_EQ(results[0].power_w, results[1].power_w);
 
   // And the seed in play is derive_stream_seed(base.seed, 0): running the
-  // same config through run_simulation directly reproduces the sweep.
+  // same config through the reference engine directly reproduces the
+  // sweep.
   SimConfig direct = base;
   direct.offered_load = 0.25;
   direct.seed = derive_stream_seed(base.seed, 0);
-  const SimResult lone = run_simulation(direct);
+  const SimResult lone = run_reference_simulation(direct);
   EXPECT_EQ(lone.delivered_words, results[0].delivered_words);
   EXPECT_EQ(lone.power_w, results[0].power_w);
 }

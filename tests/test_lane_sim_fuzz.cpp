@@ -1,13 +1,13 @@
-// Differential fuzz harness for the bit-sliced packet-lane engine.
+// Differential fuzz harness for the packet lane engine.
 //
 // Random configurations across every laned (arch, scheme) cell — crossbar,
 // fully-connected, Batcher-Banyan, and banyan, each under VOQ/iSLIP and
 // FIFO/HOL ingress, with randomized shape, traffic pattern, payload kind,
 // scheduler depth, and (for banyan) node-FIFO capacity / skid / DRAM
 // knobs — are replicated at ragged lane counts through
-// run_lane_simulations and pinned lane-for-lane against the scalar
-// reference: lane k must reproduce the SimResult of run_simulation under
-// derive_stream_seed(seed, k) bit for bit — every counter and every double
+// run_lane_simulations and pinned lane-for-lane against the reference
+// engine: lane k must reproduce the SimResult of run_reference_simulation
+// under derive_stream_seed(seed, k) bit for bit — every counter and double
 // compared by bit pattern, so a single FP add in the wrong order fails
 // loudly. Unsupported configurations (mesh, > 64 ports) route through the
 // same interface's per-lane fallback and are pinned identically, which
@@ -65,8 +65,8 @@ void expect_result_eq(const SimResult& laned, const SimResult& scalar,
 }
 
 /// Runs `config` at `lanes` replicates through both engines and pins every
-/// lane. The scalar side re-derives the same seed list, so any divergence
-/// is the engine's, never the harness's.
+/// lane. The reference side re-derives the same seed list, so any
+/// divergence is the engine's, never the harness's.
 void pin_lanes(const SimConfig& config, unsigned lanes,
                const std::string& context) {
   std::vector<std::uint64_t> seeds(lanes);
@@ -78,7 +78,7 @@ void pin_lanes(const SimConfig& config, unsigned lanes,
   for (unsigned k = 0; k < lanes; ++k) {
     SimConfig scalar = config;
     scalar.seed = seeds[k];
-    expect_result_eq(laned[k], run_simulation(scalar),
+    expect_result_eq(laned[k], run_reference_simulation(scalar),
                      context + " lane " + std::to_string(k));
   }
 }

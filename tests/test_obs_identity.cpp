@@ -1,10 +1,12 @@
 // Observation must be free of side effects: a run with cycle probes and
 // the phase profiler enabled must produce a SimResult bit-identical to
 // the unobserved run — and both must still match the committed
-// test_bit_identity goldens. Every comparison is exact (EXPECT_EQ on
-// doubles, deliberately): sampling reads counters the simulation
-// maintains anyway, so a single differing bit means an instrument
-// touched an RNG stream or reordered an FP accumulation.
+// test_bit_identity goldens. Observed runs take the reference engine, so
+// each observed result is checked against the unobserved reference run
+// and the unobserved lane-engine run. Every comparison is exact
+// (EXPECT_EQ on doubles, deliberately): sampling reads counters the
+// simulation maintains anyway, so a single differing bit means an
+// instrument touched an RNG stream or reordered an FP accumulation.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +16,7 @@
 #include "common/rng.hpp"
 #include "obs/probe.hpp"
 #include "obs/profiler.hpp"
+#include "obs/registry.hpp"
 #include "sim/lane_sim.hpp"
 #include "sim/simulation.hpp"
 
@@ -76,7 +79,9 @@ TEST(ObsIdentity, ProbedRunsMatchPlainRunsAtEveryStride) {
         std::string_view{"crossbar_voq_hot"},
         std::string_view{"banyan_fifo_overload"}}) {
     const SimConfig config = config_named(name);
-    const SimResult plain = run_simulation(config);
+    const SimResult plain = run_reference_simulation(config);
+    expect_identical(run_simulation(config), plain,
+                     std::string(name) + " lane engine");
     for (const std::uint64_t stride : {1ull, 7ull, 64ull}) {
       obs::ProbeRecorder recorder(stride);
       const SimResult observed = run_simulation(config, &recorder);
@@ -89,36 +94,54 @@ TEST(ObsIdentity, ProbedRunsMatchPlainRunsAtEveryStride) {
   }
 }
 
-TEST(ObsIdentity, ProfiledAndProbedRunMatchesGoldens) {
-  // The same goldens test_bit_identity pins, re-asserted with the full
-  // observability stack on: profiler, span capture, stride-1 probes.
-  const SimConfig config = config_named("crossbar_fifo_uniform");
-  obs::Profiler::global().set_spans_enabled(true);
-  obs::ProbeRecorder recorder(1);
-  const SimResult observed = run_simulation(config, &recorder);
-  obs::Profiler::global().set_spans_enabled(false);
-  obs::Profiler::global().set_enabled(false);
-
+void expect_golden(const SimResult& observed) {
   EXPECT_EQ(observed.delivered_words, 62573ull);
   EXPECT_EQ(observed.delivered_packets, 3913ull);
   EXPECT_EQ(observed.input_queue_drops, 0ull);
   EXPECT_EQ(observed.egress_throughput, 0x1.f495810624dd3p-2);
   EXPECT_EQ(observed.power_w, 0x1.35e965a87d958p-2);
   EXPECT_EQ(observed.mean_packet_latency_cycles, 0x1.ep+3);
+}
+
+TEST(ObsIdentity, ProfiledAndProbedRunMatchesGoldens) {
+  // The same goldens test_bit_identity pins, re-asserted with the full
+  // observability stack on: profiler, span capture, stride-1 probes —
+  // through run_simulation (which counts the observed run as an observer
+  // fallback) and through the reference entry point directly.
+  const SimConfig config = config_named("crossbar_fifo_uniform");
+  obs::Counter& observer_fallbacks =
+      obs::Registry::global().counter("sim.lane.fallback.observer");
+  const std::uint64_t fallbacks_before = observer_fallbacks.value();
+  obs::Profiler::global().set_spans_enabled(true);
+  obs::ProbeRecorder recorder(1);
+  const SimResult observed = run_simulation(config, &recorder);
+  obs::ProbeRecorder reference_recorder(1);
+  const SimResult reference =
+      run_reference_simulation(config, &reference_recorder);
+  obs::Profiler::global().set_spans_enabled(false);
+  obs::Profiler::global().set_enabled(false);
+
+  expect_golden(observed);
+  expect_golden(reference);
+  EXPECT_EQ(observer_fallbacks.value(), fallbacks_before + 1);
   // Stride 1 over warmup + measure windows samples every cycle once.
   EXPECT_EQ(recorder.samples(),
             config.warmup_cycles + config.measure_cycles);
+  EXPECT_EQ(reference_recorder.samples(), recorder.samples());
 }
 
 TEST(ObsIdentity, ProfiledUnobservedRunIsBitIdentical) {
-  // Profiler on, no observer: exercises the kProfiled monomorphized
-  // loops against the plain ones.
+  // Profiler on, no observer: timing the sweep phases must not change a
+  // result on either engine.
   const SimConfig config = config_named("crossbar_voq_hot");
-  const SimResult plain = run_simulation(config);
+  const SimResult plain = run_reference_simulation(config);
   obs::Profiler::global().set_enabled(true);
   const SimResult profiled = run_simulation(config);
+  const SimResult profiled_reference = run_reference_simulation(config);
   obs::Profiler::global().set_enabled(false);
   expect_identical(profiled, plain, "profiled crossbar_voq_hot");
+  expect_identical(profiled_reference, plain,
+                   "profiled reference crossbar_voq_hot");
 }
 
 TEST(ObsIdentity, ObservedLaneBatchMatchesLanedBatch) {

@@ -181,7 +181,7 @@ TEST(Replicate, SeedsMatchSweepSpecDerivation) {
   for (unsigned k = 0; k < 3; ++k) {
     SimConfig single = c;
     single.seed = derive_stream_seed(c.seed, k);
-    const SimResult reference = run_simulation(single);
+    const SimResult reference = run_reference_simulation(single);
     EXPECT_EQ(batch.runs[k].power_w, reference.power_w);
     EXPECT_EQ(batch.runs[k].delivered_packets, reference.delivered_packets);
   }
