@@ -81,13 +81,12 @@ void print_usage() {
       "  --merge            merge a completed --shard-dir, no simulation\n"
       "  --watch            follow --shard-dir live: per-shard progress\n"
       "                     bars until the sweep settles, then merge\n"
-      "  --shard-count N    override the shard count (default: a few\n"
-      "                     claimable shards per worker)\n"
+      "  --shard-count N    override the shard count (default: 4 per\n"
+      "                     worker; more shards balance stragglers)\n"
       "  --max-reclaims N   retry strikes before a shard is quarantined\n"
       "                     as poisoned                              [3]\n"
       "  --allow-quarantined  merge past quarantined shards, reporting\n"
       "                     the precise missing run indices\n"
-      "  --no-steal         worker: never split a straggler's shard\n"
       "  --stale-after S    seconds without a heartbeat before a claim\n"
       "                     counts as abandoned                     [30]\n"
       "observability (see README \"Observability\"):\n"
@@ -332,7 +331,6 @@ int main(int argc, char** argv) {
   bool merge_mode = false;
   bool watch_mode = false;
   bool allow_quarantined = false;
-  bool steal = true;
   unsigned max_reclaims = 3;
   std::size_t shard_count_override = 0;
   double stale_after_s = 30.0;
@@ -433,8 +431,6 @@ int main(int argc, char** argv) {
         watch_mode = true;
       } else if (flag == "--allow-quarantined") {
         allow_quarantined = true;
-      } else if (flag == "--no-steal") {
-        steal = false;
       } else if (flag == "--max-reclaims") {
         max_reclaims = static_cast<unsigned>(std::stoul(next()));
         if (max_reclaims == 0) {
@@ -521,7 +517,6 @@ int main(int argc, char** argv) {
       options.stale_after_s = stale_after_s;
       options.worker_index = static_cast<unsigned>(shard_index);
       options.max_reclaims = max_reclaims;
-      options.steal = steal;
       const std::size_t shard_count =
           shard_count_override != 0
               ? shard_count_override

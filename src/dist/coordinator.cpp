@@ -59,7 +59,7 @@ struct Settlement {
   state.settled = true;
   state.complete = true;
   for (const ResolvedShard& shard : resolve_shards(ledger, plan)) {
-    if (shard.covered) continue;
+    if (shard.committed) continue;
     state.complete = false;
     if (shard.poison) {
       state.poisoned.push_back(*shard.poison);

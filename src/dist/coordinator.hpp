@@ -43,7 +43,7 @@ struct CoordinatorReport {
   unsigned spawned = 0;  ///< worker processes launched across all waves
   unsigned failed = 0;   ///< of those, exited nonzero or died by signal
   unsigned waves = 0;
-  /// Every shard is covered by a fragment (no quarantine gaps).
+  /// Every shard is committed (no quarantine gaps).
   bool complete = false;
   /// Quarantined shards in the settled sweep; the caller should exit
   /// nonzero listing the suspect configs.

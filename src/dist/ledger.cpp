@@ -28,7 +28,6 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr char kPlanMagic[] = "sfab-shard-plan v1";
-constexpr char kSplitMagic[] = "sfab-split v1";
 constexpr char kPoisonMagic[] = "sfab-poison v1";
 constexpr char kProgressMagic[] = "sfab-progress v1";
 
@@ -273,8 +272,7 @@ ShardLedger::ShardLedger(std::string dir, double stale_after_s)
     throw std::invalid_argument("ShardLedger: stale_after_s must be > 0");
   }
   for (const char* sub :
-       {"claims", "frags", "parts", "progress", "splits", "retries",
-        "poison"}) {
+       {"claims", "frags", "parts", "progress", "retries", "poison"}) {
     fs::create_directories(fs::path(dir_) / sub);
   }
   // Sweep tombstones orphaned by a reclaimer that crashed between its
@@ -362,9 +360,9 @@ bool ShardLedger::reclaim_if_stale(const ShardKey& key) noexcept {
   fs::rename(path, tombstone, ec);
   if (ec) return false;
   fs::remove(tombstone, ec);
-  static obs::Counter& steals =
-      obs::Registry::global().counter("dist.ledger.steals");
-  steals.increment();
+  static obs::Counter& stale_breaks =
+      obs::Registry::global().counter("dist.ledger.stale_breaks");
+  stale_breaks.increment();
   return true;
 }
 
@@ -502,79 +500,6 @@ void ShardLedger::cleanup_shard(const ShardKey& key) noexcept {
   std::error_code ec;
   fs::remove(shard_file("parts", key, ".rows", dir_), ec);
   fs::remove(shard_file("progress", key, ".prog", dir_), ec);
-}
-
-// --- work stealing -----------------------------------------------------------
-
-bool ShardLedger::create_split(const SplitRecord& record) {
-  if (record.child != child_of(record.parent) ||
-      record.child_begin >= record.child_end) {
-    throw std::invalid_argument("ShardLedger: malformed split record");
-  }
-  std::ostringstream text;
-  text << kSplitMagic << "\nparent " << record.parent << "\nchild "
-       << record.child << "\nbegin " << record.child_begin << "\nend "
-       << record.child_end << '\n';
-  const bool installed = install_exclusive(
-      shard_file("splits", record.parent, ".split", dir_), text.str());
-  if (installed) {
-    static obs::Counter& splits =
-        obs::Registry::global().counter("dist.ledger.splits");
-    splits.increment();
-  }
-  return installed;
-}
-
-namespace {
-
-[[nodiscard]] std::optional<SplitRecord> parse_split(const std::string& text) {
-  RecordReader reader(text);
-  if (reader.magic() != kSplitMagic) return std::nullopt;
-  SplitRecord record;
-  std::string field, value;
-  bool have_begin = false, have_end = false;
-  while (reader.next(field, value)) {
-    if (field == "parent") {
-      record.parent = value;
-    } else if (field == "child") {
-      record.child = value;
-    } else if (field == "begin") {
-      have_begin = parse_unsigned(value, record.child_begin);
-    } else if (field == "end") {
-      have_end = parse_unsigned(value, record.child_end);
-    }
-  }
-  if (record.parent.empty() || record.child != child_of(record.parent) ||
-      !have_begin || !have_end || record.child_begin >= record.child_end) {
-    return std::nullopt;
-  }
-  return record;
-}
-
-}  // namespace
-
-std::optional<SplitRecord> ShardLedger::read_split(
-    const ShardKey& parent) const {
-  const auto text =
-      read_file_if_exists(shard_file("splits", parent, ".split", dir_));
-  if (!text) return std::nullopt;
-  return parse_split(*text);
-}
-
-std::vector<SplitRecord> ShardLedger::splits() const {
-  std::vector<SplitRecord> records;
-  std::error_code ec;
-  for (const auto& entry :
-       fs::directory_iterator(fs::path(dir_) / "splits", ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() < 7 || name.compare(name.size() - 6, 6, ".split") != 0) {
-      continue;  // temp files from in-flight installs
-    }
-    if (const auto text = read_file_if_exists(entry.path())) {
-      if (auto record = parse_split(*text)) records.push_back(*record);
-    }
-  }
-  return records;
 }
 
 // --- retry budget + quarantine -----------------------------------------------

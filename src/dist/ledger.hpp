@@ -35,13 +35,7 @@
 //     progress/shard-<key>.prog
 //                     advisory per-shard progress record (runs done /
 //                     total, writer timestamp) rewritten via temp+rename.
-//                     Drives the --watch view and straggler selection.
-//     splits/shard-<key>.split
-//                     work-stealing marker, installed with the same
-//                     one-winner temp+link discipline: shard <key> is
-//                     truncated to [begin, child_begin) and a child shard
-//                     <key>.1 owns [child_begin, child_end). At most one
-//                     split per key, ever.
+//                     Drives the --watch view.
 //     retries/shard-<key>.r<N>
 //                     one O_EXCL marker per failed attempt (stale-claim
 //                     reclaim or in-worker shard failure). The count is a
@@ -75,15 +69,11 @@
 
 namespace sfab::dist {
 
-/// Shard identity. Base shards are "0".."N-1"; splitting shard K carves
-/// its tail into child "K.1" (which may itself split into "K.1.1", ...).
+/// Shard identity: shard k of the plan is "k".
 using ShardKey = std::string;
 
-[[nodiscard]] inline ShardKey shard_key(std::size_t base) {
-  return std::to_string(base);
-}
-[[nodiscard]] inline ShardKey child_of(const ShardKey& key) {
-  return key + ".1";
+[[nodiscard]] inline ShardKey shard_key(std::size_t shard) {
+  return std::to_string(shard);
 }
 
 /// The sweep contract stored in shard-dir/plan.
@@ -96,22 +86,14 @@ struct LedgerPlan {
 /// Advisory streaming-progress record for one shard.
 struct ProgressRecord {
   std::size_t done = 0;   ///< rows durably streamed, counted from begin
-  std::size_t total = 0;  ///< effective shard size when written
+  std::size_t total = 0;  ///< shard size
   std::int64_t stamp_ms = 0;  ///< writer's wall clock, ms since epoch
-};
-
-/// One-winner work-stealing record: parent truncates to child_begin.
-struct SplitRecord {
-  ShardKey parent;
-  ShardKey child;
-  std::size_t child_begin = 0;
-  std::size_t child_end = 0;
 };
 
 /// Quarantine record for a shard that exhausted its retry budget.
 struct PoisonRecord {
   ShardKey key;
-  std::size_t begin = 0;      ///< effective range at quarantine time
+  std::size_t begin = 0;      ///< the shard's run range
   std::size_t end = 0;
   std::size_t committed = 0;  ///< rows durably streamed before poisoning
   std::size_t suspect = 0;    ///< first missing run index (begin+committed)
@@ -217,15 +199,6 @@ class ShardLedger {
   /// the fragment commit makes them redundant.
   void cleanup_shard(const ShardKey& key) noexcept;
 
-  // --- work stealing --------------------------------------------------------
-
-  /// Installs a split marker for record.parent (temp + link, one winner).
-  /// Returns false when the parent is already split.
-  bool create_split(const SplitRecord& record);
-  [[nodiscard]] std::optional<SplitRecord> read_split(
-      const ShardKey& parent) const;
-  [[nodiscard]] std::vector<SplitRecord> splits() const;
-
   // --- retry budget + quarantine --------------------------------------------
 
   /// Number of failure strikes recorded against the shard so far.
@@ -241,7 +214,7 @@ class ShardLedger {
       const ShardKey& key) const;
   [[nodiscard]] std::vector<PoisonRecord> poisoned() const;
 
-  // --- std::size_t conveniences for base shards -----------------------------
+  // --- std::size_t conveniences ---------------------------------------------
 
   [[nodiscard]] std::optional<Claim> try_claim(std::size_t shard,
                                                const std::string& worker_id) {

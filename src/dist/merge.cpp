@@ -68,18 +68,7 @@ MergeOutput merge_shards(const std::string& shard_dir,
   out.total_runs = plan.total_runs;
   out.csv_text = header + '\n';
 
-  std::size_t covered_until = 0;
   for (const ResolvedShard& shard : resolve_shards(ledger, plan)) {
-    // Subsumed by an over-covering ancestor whose fragment already
-    // supplied these rows.
-    if (shard.end <= covered_until) continue;
-    if (shard.begin != covered_until) {
-      throw std::runtime_error(
-          "merge_shards: shard " + shard.key + " starts at run " +
-          std::to_string(shard.begin) + " but the stitch is at run " +
-          std::to_string(covered_until) + " (corrupt ledger)");
-    }
-
     if (shard.committed) {
       const std::string text = ledger.read_fragment(shard.key);
       const FragmentRows frag = split_fragment(text);
@@ -87,20 +76,11 @@ MergeOutput merge_shards(const std::string& shard_dir,
         throw std::runtime_error("merge_shards: shard " + shard.key +
                                  " fragment has a mismatched header");
       }
-      // Two legal sizes for a split parent: effective range, or full
-      // extent (committed before the split marker landed — subsumes the
-      // child subtree, whose rows would be byte-identical anyway).
-      if (frag.rows == shard.end - shard.begin) {
-        covered_until = shard.end;
-      } else if (frag.rows == shard.full_end - shard.begin) {
-        covered_until = shard.full_end;
-      } else {
+      if (frag.rows != shard.size()) {
         throw std::runtime_error(
             "merge_shards: shard " + shard.key + " holds " +
             std::to_string(frag.rows) + " rows, expected " +
-            std::to_string(shard.end - shard.begin) + " (or " +
-            std::to_string(shard.full_end - shard.begin) +
-            " for a pre-split commit)");
+            std::to_string(shard.size()) + " (corrupt ledger)");
       }
       append_terminated(out.csv_text, frag.body);
       continue;
@@ -140,13 +120,6 @@ MergeOutput merge_shards(const std::string& shard_dir,
     gap.missing_end = shard.end;
     gap.poison = shard.poison;
     out.gaps.push_back(std::move(gap));
-    covered_until = shard.end;
-  }
-
-  if (covered_until != plan.total_runs) {
-    throw std::runtime_error(
-        "merge_shards: stitch covered " + std::to_string(covered_until) +
-        " of " + std::to_string(plan.total_runs) + " runs (corrupt ledger)");
   }
 
   std::istringstream parse(out.csv_text);

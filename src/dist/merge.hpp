@@ -3,13 +3,10 @@
 // Shards are contiguous ranges in expansion order and every fragment is a
 // complete exp/report CSV (header + its range's rows, doubles in shortest
 // round-trip form), so the merge is a stitch: the shared header once, then
-// each fragment's rows walked in range order. Work-stealing splits are
-// resolved through the ledger's split chain — a split parent's fragment
-// legally holds either its effective range or (when it committed in the
-// race window before the split marker landed) its full extent, in which
-// case the child subtree is subsumed. No value is ever reformatted, which
-// is what makes the merged file byte-identical to `write_csv` of a
-// single-process run of the same spec — the property CI pins with `cmp`.
+// each fragment's rows walked in range order. No value is ever
+// reformatted, which is what makes the merged file byte-identical to
+// `write_csv` of a single-process run of the same spec — the property CI
+// pins with `cmp`.
 //
 // Quarantined (poison) shards make the merge refuse by default: a merge
 // never silently drops a run. With allow_quarantined the merge recovers
@@ -42,7 +39,7 @@ struct MergeOptions {
 /// shard `key` are absent.
 struct ShardGap {
   ShardKey key;
-  std::size_t begin = 0;  ///< the shard's effective range
+  std::size_t begin = 0;  ///< the shard's run range
   std::size_t end = 0;
   std::size_t committed = 0;  ///< streamed rows recovered into the merge
   std::size_t missing_begin = 0;
@@ -63,8 +60,8 @@ struct MergeOutput {
 };
 
 /// Merges the fragments under `shard_dir`. Validates the ledger plan,
-/// every fragment's header and row count against the resolved shard
-/// ranges. Throws std::runtime_error on any mismatch, on uncovered shards
+/// every fragment's header and row count against its shard's range.
+/// Throws std::runtime_error on any mismatch, on uncommitted shards
 /// (unless options.allow_incomplete), and on quarantined shards (unless
 /// options.allow_quarantined) — a merge never silently drops or
 /// duplicates a run.

@@ -52,8 +52,8 @@ class ShardPlan {
 
 /// Shard count the CLI/bench coordinator uses for `workers` worker
 /// processes: a few claimable shards per worker (finer grains re-balance a
-/// ragged grid and shrink what a crashed worker forfeits), never more than
-/// there are runs.
+/// ragged grid, let fast workers absorb a straggler's share, and shrink
+/// what a crashed worker forfeits), never more than there are runs.
 [[nodiscard]] std::size_t default_shard_count(std::size_t total_runs,
                                               unsigned workers);
 

@@ -2,71 +2,25 @@
 
 #include <algorithm>
 #include <ostream>
-#include <stdexcept>
 
 #include "dist/shard_plan.hpp"
 
 namespace sfab::dist {
-
-namespace {
-
-/// Data rows in a committed fragment (first line is the CSV header).
-[[nodiscard]] std::size_t fragment_rows(const std::string& text) {
-  std::size_t lines = 0;
-  for (std::size_t at = 0; at < text.size();) {
-    const std::size_t eol = text.find('\n', at);
-    ++lines;
-    if (eol == std::string::npos) break;
-    at = eol + 1;
-  }
-  return lines == 0 ? 0 : lines - 1;
-}
-
-}  // namespace
 
 std::vector<ResolvedShard> resolve_shards(const ShardLedger& ledger,
                                           const LedgerPlan& plan) {
   const ShardPlan shard_plan(plan.total_runs, plan.shard_count);
   std::vector<ResolvedShard> out;
   out.reserve(shard_plan.shard_count());
-
-  for (std::size_t base = 0; base < shard_plan.shard_count(); ++base) {
-    const ShardRange range = shard_plan.range_of(base);
-    ShardKey key = shard_key(base);
-    std::size_t begin = range.begin;
-    std::size_t full_end = range.end;
-    bool ancestor_covers = false;
-
-    for (;;) {
-      const auto split = ledger.read_split(key);
-      if (split && (split->child_begin <= begin ||
-                    split->child_begin >= full_end ||
-                    split->child_end != full_end)) {
-        throw std::runtime_error(
-            "resolve_shards: corrupt split chain at shard " + key);
-      }
-
-      ResolvedShard shard;
-      shard.key = key;
-      shard.begin = begin;
-      shard.end = split ? split->child_begin : full_end;
-      shard.full_end = full_end;
-      shard.committed = ledger.fragment_exists(key);
-      if (shard.committed && split) {
-        // Two legal sizes: effective (split honored) or full extent
-        // (committed in the race window before the marker landed).
-        shard.over_covering =
-            fragment_rows(ledger.read_fragment(key)) == full_end - begin;
-      }
-      shard.covered = ancestor_covers || shard.committed;
-      shard.poison = ledger.read_poison(key);
-      out.push_back(shard);
-
-      if (!split) break;
-      ancestor_covers = ancestor_covers || shard.over_covering;
-      key = split->child;
-      begin = split->child_begin;
-    }
+  for (std::size_t k = 0; k < shard_plan.shard_count(); ++k) {
+    const ShardRange range = shard_plan.range_of(k);
+    ResolvedShard shard;
+    shard.key = shard_key(k);
+    shard.begin = range.begin;
+    shard.end = range.end;
+    shard.committed = ledger.fragment_exists(shard.key);
+    shard.poison = ledger.read_poison(shard.key);
+    out.push_back(std::move(shard));
   }
   return out;
 }
@@ -96,7 +50,7 @@ SweepStatus sweep_status(const ShardLedger& ledger) {
   for (ResolvedShard& shard : resolve_shards(ledger, status.plan)) {
     ShardStatus entry;
     entry.claim_age_s = ledger.claim_age_s(shard.key);
-    if (shard.covered) {
+    if (shard.committed) {
       entry.state = ShardState::kDone;
       entry.done = shard.size();
     } else if (shard.poison) {
@@ -115,7 +69,7 @@ SweepStatus sweep_status(const ShardLedger& ledger) {
         entry.state = ShardState::kPending;
       }
     }
-    if (!shard.covered) {
+    if (!shard.committed) {
       status.complete = false;
       if (!shard.poison) status.settled = false;
     }

@@ -1,18 +1,9 @@
-// Resolving the live shape of a sweep from the ledger.
+// The live state of a sweep, read from the ledger.
 //
-// Splits turn the plan's fixed base shards into chains: shard "3" may be
-// truncated by a split marker to [begin, c) with child "3.1" owning
-// [c, end), recursively. resolve_shards walks those chains into a flat,
-// begin-ordered list of effective ranges — the single source of truth the
-// worker loop, the coordinator's completion check, merge_shards' stitcher,
+// resolve_shards lists the plan's shards in run order with their ranges,
+// commit state and quarantine record — the single source of truth the
+// worker loop, the coordinator's completion check, merge_shards' stitcher
 // and the --watch view all share.
-//
-// One race is legal and handled here rather than forbidden: a shard's
-// owner may commit its fragment over the FULL extent in the instant
-// before a thief installs the split marker. Such an "over-covering"
-// fragment subsumes the whole child subtree (rows are deterministic,
-// byte-identical either way); descendants of an over-covering ancestor
-// are reported covered with no fragment of their own.
 #pragma once
 
 #include <cstddef>
@@ -25,27 +16,18 @@
 
 namespace sfab::dist {
 
-/// One shard chain link with its effective range resolved.
+/// One shard of the plan with its ledger state.
 struct ResolvedShard {
   ShardKey key;
   std::size_t begin = 0;
-  std::size_t end = 0;       ///< effective end (split honored)
-  std::size_t full_end = 0;  ///< extent end ignoring this shard's split
-  bool committed = false;    ///< this shard's own fragment exists
-  /// Fragment spans [begin, full_end) — committed in the race window
-  /// before the split marker landed; subsumes the child subtree.
-  bool over_covering = false;
-  /// Rows [begin, end) are durably accounted for: own fragment, or an
-  /// over-covering ancestor's.
-  bool covered = false;
+  std::size_t end = 0;
+  bool committed = false;  ///< the shard's fragment exists
   std::optional<PoisonRecord> poison;
 
   [[nodiscard]] std::size_t size() const noexcept { return end - begin; }
 };
 
-/// Walks every base shard's split chain. Returns effective ranges sorted
-/// by begin, tiling [0, plan.total_runs) exactly. Throws
-/// std::runtime_error on a corrupt split chain (ranges that don't nest).
+/// Every shard of `plan`, sorted by begin, tiling [0, plan.total_runs).
 [[nodiscard]] std::vector<ResolvedShard> resolve_shards(
     const ShardLedger& ledger, const LedgerPlan& plan);
 
@@ -57,7 +39,7 @@ enum class ShardState { kPending, kRunning, kStale, kDone, kPoisoned };
 struct ShardStatus {
   ResolvedShard shard;
   ShardState state = ShardState::kPending;
-  std::size_t done = 0;  ///< rows durably streamed (== size() when covered)
+  std::size_t done = 0;  ///< rows durably streamed (== size() when committed)
   std::optional<double> claim_age_s;
 };
 
@@ -65,10 +47,9 @@ struct SweepStatus {
   LedgerPlan plan;
   std::vector<ShardStatus> shards;
   std::size_t runs_done = 0;
-  /// Every effective range is covered by a fragment: merge-ready with no
-  /// gaps.
+  /// Every shard is committed: merge-ready with no gaps.
   bool complete = false;
-  /// No work remains: every shard is covered or quarantined.
+  /// No work remains: every shard is committed or quarantined.
   bool settled = false;
   std::vector<PoisonRecord> quarantined;
 };

@@ -68,8 +68,8 @@ void warn(const WorkerOptions& options, const std::string& message) {
 }
 
 /// Streams one claimed shard: resume from the committed row prefix, run
-/// in split-checking chunks with an ordered-prefix flush per completed
-/// run, truncate to the final effective range, and durably commit.
+/// the rest as one run_range call with an ordered-prefix flush per
+/// completed run, and durably commit.
 class ShardStream {
  public:
   ShardStream(ShardLedger& ledger, const SweepSpec& spec,
@@ -79,44 +79,28 @@ class ShardStream {
         spec_(spec),
         key_(shard.key),
         begin_(shard.begin),
-        eff_end_(shard.end),
         options_(options),
         report_(report),
-        rows_(shard.full_end - shard.begin) {}
+        rows_(shard.size()) {}
 
   void run() {
     resume();
+    const std::size_t next = begin_ + flushed_;
+    std::size_t end = begin_ + rows_.size();
     const long abort_at = chaos_abort_run();
-
-    std::size_t next = begin_ + flushed_;
-    while (next < eff_end_) {
-      refresh_split();
-      if (next >= eff_end_) break;
-      std::size_t chunk_end =
-          std::min(next + std::max<std::size_t>(options_.chunk_runs, 1),
-                   eff_end_);
-      bool abort_after = false;
-      if (abort_at >= 0 && next <= static_cast<std::size_t>(abort_at) &&
-          static_cast<std::size_t>(abort_at) < chunk_end) {
-        // Flush everything before the doomed run, then die exactly at it:
-        // the committed prefix pins the suspect index precisely.
-        chunk_end = static_cast<std::size_t>(abort_at);
-        abort_after = true;
-      }
-      if (chunk_end > next) {
-        SweepRunner runner(options_.threads);
-        runner.with_cache(ResultCache::from_env())
-            .with_on_record([this](const RunRecord& rec) { stage(rec); });
-        (void)runner.run_range(spec_, next, chunk_end);
-      }
-      if (abort_after) ::_exit(70);
-      next = begin_ + flushed_;
+    const bool abort = abort_at >= 0 &&
+                       next <= static_cast<std::size_t>(abort_at) &&
+                       static_cast<std::size_t>(abort_at) < end;
+    // Flush everything before the doomed run, then die exactly at it: the
+    // committed prefix pins the suspect index precisely.
+    if (abort) end = static_cast<std::size_t>(abort_at);
+    if (next < end) {
+      SweepRunner runner(options_.threads);
+      runner.with_cache(ResultCache::from_env())
+          .with_on_record([this](const RunRecord& rec) { stage(rec); });
+      (void)runner.run_range(spec_, next, end);
     }
-
-    // The one-winner marker may have landed while the last chunk ran;
-    // honor it now — rows past the final effective end belong to the
-    // child shard (identical bytes; recomputation, never divergence).
-    refresh_split();
+    if (abort) ::_exit(70);
     commit();
   }
 
@@ -132,14 +116,7 @@ class ShardStream {
                          std::to_string(flushed_) + " streamed row(s)");
     }
     ledger_.write_progress(key_,
-                           ProgressRecord{flushed_, eff_end_ - begin_,
-                                          now_ms()});
-  }
-
-  void refresh_split() {
-    if (const auto split = ledger_.read_split(key_)) {
-      eff_end_ = std::min(eff_end_, split->child_begin);
-    }
+                           ProgressRecord{flushed_, rows_.size(), now_ms()});
   }
 
   /// Runner callback (serialized by the runner): stage the row, flush the
@@ -168,15 +145,13 @@ class ShardStream {
     }
     flushed_ = at;
     ledger_.write_progress(key_,
-                           ProgressRecord{flushed_, eff_end_ - begin_,
-                                          now_ms()});
+                           ProgressRecord{flushed_, rows_.size(), now_ms()});
   }
 
   void commit() {
-    const std::size_t size = eff_end_ - begin_;
     std::string csv = csv_header() + '\n';
-    for (std::size_t i = 0; i < size; ++i) {
-      csv += rows_[i];
+    for (const std::string& row : rows_) {
+      csv += row;
       csv += '\n';
     }
     ledger_.commit_fragment(key_, csv);
@@ -187,7 +162,6 @@ class ShardStream {
   const SweepSpec& spec_;
   ShardKey key_;
   std::size_t begin_;
-  std::size_t eff_end_;
   const WorkerOptions& options_;
   WorkerReport& report_;
   std::mutex mutex_;
@@ -199,15 +173,11 @@ class ShardStream {
 /// is exhausted. The suspect run is the first index missing from the
 /// committed prefix — retries re-execute up to the same failure, so the
 /// prefix converges on the crashing run.
-void strike_shard(ShardLedger& ledger, const ShardKey& key,
-                  std::size_t begin, std::size_t full_end,
+void strike_shard(ShardLedger& ledger, const ResolvedShard& shard,
                   const WorkerOptions& options, const std::string& worker_id,
                   const std::string& reason, WorkerReport& report) {
+  const ShardKey& key = shard.key;
   const unsigned strikes = ledger.record_reclaim(key);
-  std::size_t eff_end = full_end;
-  if (const auto split = ledger.read_split(key)) {
-    eff_end = std::min(eff_end, split->child_begin);
-  }
   warn(options, "shard " + key + " strike " + std::to_string(strikes) +
                     "/" + std::to_string(options.max_reclaims) + ": " +
                     reason);
@@ -215,11 +185,13 @@ void strike_shard(ShardLedger& ledger, const ShardKey& key,
 
   PoisonRecord poison;
   poison.key = key;
-  poison.begin = begin;
-  poison.end = eff_end;
-  poison.committed =
-      ledger.committed_prefix(key, begin, eff_end, csv_field_count()).size();
-  poison.suspect = begin + poison.committed;
+  poison.begin = shard.begin;
+  poison.end = shard.end;
+  poison.committed = ledger
+                         .committed_prefix(key, shard.begin, shard.end,
+                                           csv_field_count())
+                         .size();
+  poison.suspect = shard.begin + poison.committed;
   poison.reclaims = strikes;
   poison.worker = worker_id;
   poison.reason = single_line(reason);
@@ -228,50 +200,6 @@ void strike_shard(ShardLedger& ledger, const ShardKey& key,
                       std::to_string(poison.suspect) + ")");
     report.poisoned.push_back(poison);
   }
-}
-
-/// Straggler steal: among live, unsplit, uncovered claims pick the one
-/// with the most unstarted tail and carve off half of it as a child
-/// shard. Returns true when a split marker was installed.
-bool try_steal(ShardLedger& ledger, const LedgerPlan& plan,
-               const WorkerOptions& options, WorkerReport& report) {
-  static const obs::PhaseId steal_phase =
-      obs::Profiler::global().phase("dist.steal");
-  const obs::ScopedPhase steal_timer(steal_phase);
-  const ResolvedShard* victim = nullptr;
-  std::size_t victim_remaining = 0;
-  const std::vector<ResolvedShard> resolved = resolve_shards(ledger, plan);
-  for (const ResolvedShard& shard : resolved) {
-    if (shard.covered || shard.poison) continue;
-    if (shard.end != shard.full_end) continue;  // already split once
-    const auto age = ledger.claim_age_s(shard.key);
-    if (!age || *age >= ledger.stale_after_s()) continue;  // not live
-    const auto progress = ledger.read_progress(shard.key);
-    const std::size_t done =
-        progress ? std::min(progress->done, shard.size()) : std::size_t{0};
-    const std::size_t remaining = shard.size() - done;
-    if (remaining > victim_remaining) {
-      victim = &shard;
-      victim_remaining = remaining;
-    }
-  }
-  if (victim == nullptr || victim_remaining < options.min_steal_runs) {
-    return false;
-  }
-
-  const std::size_t cut =
-      victim->end - victim_remaining + (victim_remaining + 1) / 2;
-  SplitRecord split;
-  split.parent = victim->key;
-  split.child = child_of(victim->key);
-  split.child_begin = cut;
-  split.child_end = victim->end;
-  if (!ledger.create_split(split)) return false;
-  note(options, "stole runs " + std::to_string(cut) + ".." +
-                    std::to_string(victim->end) + " from shard " +
-                    victim->key + " as shard " + split.child);
-  ++report.splits;
-  return true;
 }
 
 }  // namespace
@@ -287,8 +215,12 @@ WorkerReport run_worker(const SweepSpec& spec, std::size_t shard_count,
 
   const std::string worker_id =
       local_worker_id("w" + std::to_string(options.worker_index));
+  // An idle worker re-reads the ledger this often. Keep it short: the
+  // sweep settles when its last shard commits, and a coarse poll keeps
+  // finished workers (and the coordinator waiting on them) up to one
+  // interval longer.
   const auto poll = std::chrono::duration<double>(
-      std::min(options.stale_after_s / 4.0, 0.5));
+      std::min(options.stale_after_s / 4.0, 0.05));
   WorkerReport report;
 
   for (;;) {
@@ -298,8 +230,12 @@ WorkerReport run_worker(const SweepSpec& spec, std::size_t shard_count,
         resolve_shards(ledger, ledger_plan);
     const std::size_t n = resolved.size();
     for (std::size_t k = 0; k < n; ++k) {
-      const ResolvedShard& shard = resolved[(k + options.worker_index) % n];
-      if (shard.covered || shard.poison) continue;
+      // Walk the plan from its end: sweeps list axis values in rising
+      // order, so the last shards tend to hold the longest runs. Taking
+      // them first leaves the short shards to even out the finish.
+      const ResolvedShard& shard =
+          resolved[n - 1 - (k + options.worker_index) % n];
+      if (shard.committed || shard.poison) continue;
       settled = false;
 
       static const obs::PhaseId claim_phase =
@@ -308,14 +244,14 @@ WorkerReport run_worker(const SweepSpec& spec, std::size_t shard_count,
       auto claim = ledger.try_claim(shard.key, worker_id);
       if (!claim && ledger.reclaim_if_stale(shard.key)) {
         warn(options, "reclaimed stale shard " + shard.key);
-        strike_shard(ledger, shard.key, shard.begin, shard.full_end,
-                     options, worker_id, "stale claim reclaimed", report);
+        strike_shard(ledger, shard, options, worker_id,
+                     "stale claim reclaimed", report);
         if (ledger.read_poison(shard.key)) continue;
         claim = ledger.try_claim(shard.key, worker_id);
       }
       claim_timer.finish();
       if (!claim) continue;
-      // The previous owner may have committed between our coverage check
+      // The previous owner may have committed between our commit check
       // and the claim (commit precedes claim release): nothing to redo.
       if (ledger.fragment_exists(shard.key)) continue;
 
@@ -333,21 +269,19 @@ WorkerReport run_worker(const SweepSpec& spec, std::size_t shard_count,
         // Deterministic run failures, chaos ENOSPC, filesystem trouble —
         // all land here. Never rethrow: strike the shard and move on so
         // the retry budget (not this worker's lifetime) decides its fate.
-        strike_shard(ledger, shard.key, shard.begin, shard.full_end,
-                     options, worker_id, error.what(), report);
+        strike_shard(ledger, shard, options, worker_id, error.what(),
+                     report);
       }
-      // Work the freshest shard view: a split may have changed the map.
+      // Work the freshest shard view: other workers commit and quarantine
+      // while this shard runs.
       break;
     }
 
     if (settled) break;
     if (!progressed) {
-      if (!options.steal || !try_steal(ledger, ledger_plan, options, report)) {
-        // Remaining shards are claimed by live workers with no stealable
-        // tail: wait for them to finish — or go stale, at which point the
-        // pass above reclaims.
-        std::this_thread::sleep_for(poll);
-      }
+      // Remaining shards are claimed by live workers: wait for them to
+      // finish — or go stale, at which point the pass above reclaims.
+      std::this_thread::sleep_for(poll);
     }
   }
 

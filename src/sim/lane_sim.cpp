@@ -1,6 +1,5 @@
 #include "sim/lane_sim.hpp"
 
-#include <algorithm>
 #include <array>
 #include <string>
 
@@ -110,20 +109,20 @@ LaneFallbackReason lane_sim_fallback_reason(const SimConfig& c) noexcept {
     if (!(rate >= 0.0 && rate <= 1.0)) return R::kRate;
   }
 
-  // Plane-state footprint of a full 64-lane pass, capped at ~512 MB;
-  // larger configs run per lane on the reference. The ingress front keeps
-  // capacity(+1) packet slots per bank (a granted packet streams out of
-  // its slot until the tail leaves); the fused engines add their energy
-  // LUTs + deferred event buffers, the staged fabrics their per-stage
-  // link/wire planes (and, for banyan, the node-FIFO ring planes).
-  const std::uint64_t lanes = 64;
+  // Plane-state footprint of one lane block (a pass holds one block of
+  // state at a time), capped at ~512 MB; larger configs run per lane on
+  // the reference. The ingress front keeps capacity(+1) packet slots per
+  // bank (a granted packet streams out of its slot until the tail leaves);
+  // the fused engines add their energy LUTs + deferred event buffers, the
+  // staged fabrics their per-stage link/wire planes (and, for banyan, the
+  // node-FIFO ring planes).
+  const std::uint64_t lanes = detail::kLaneBlock;
   const std::uint64_t banks = lanes * c.ports;
   const std::uint64_t slots = banks * (c.ingress_queue_packets + 1);
   std::uint64_t bytes = slots * c.packet_words * sizeof(Word) +
                         slots * 16 + banks * c.ports * 8;
   const std::uint64_t bw1 = std::uint64_t{c.tech.bus_width} + 1;
   if (bw1 > (std::uint64_t{1} << 20)) return R::kFootprint;
-  constexpr std::uint64_t kLaneFlitBytes = 32;  // detail::LaneFlit
   switch (c.arch) {
     case Architecture::kCrossbar:
       // Pair LUT [(bw+1)^2 doubles] + per-lane event buffers + polarity.
@@ -135,16 +134,16 @@ LaneFallbackReason lane_sim_fallback_reason(const SimConfig& c) noexcept {
     case Architecture::kBatcherBanyan: {
       const std::uint64_t d = log2_exact(c.ports);
       const std::uint64_t stages = d * (d + 1) / 2 + d;
-      bytes += lanes * stages * (c.ports * (kLaneFlitBytes + 4) + 16);
+      bytes += lanes * stages * (c.ports * (detail::kLaneFlitBytes + 4) + 16);
       break;
     }
     case Architecture::kBanyan: {
       if (c.buffer_words_per_switch > (1u << 20)) return R::kFootprint;
       const std::uint64_t stages = log2_exact(c.ports);
       const std::uint64_t rings = lanes * stages * c.ports;  // (N/2) * 2
-      bytes += lanes * stages * (c.ports * (kLaneFlitBytes + 4) + 24) +
+      bytes += lanes * stages * (c.ports * (detail::kLaneFlitBytes + 4) + 24) +
                rings * (std::uint64_t{c.buffer_words_per_switch} *
-                            (kLaneFlitBytes + 1) +
+                            (detail::kLaneFlitBytes + 1) +
                         8);
       break;
     }
@@ -232,13 +231,9 @@ std::vector<SimResult> run_lane_simulations(
   static const detail::LanePassFn pass =
       popcnt_pass() != nullptr ? popcnt_pass() : detail::lane_pass_portable();
   results.resize(lane_seeds.size());
-  for (std::size_t first = 0; first < lane_seeds.size(); first += 64) {
-    const auto lanes = static_cast<unsigned>(
-        std::min<std::size_t>(64, lane_seeds.size() - first));
-    pass(config, lane_seeds.data() + first, lanes, results.data() + first);
-    laned_passes.increment();
-    laned_lanes.add(lanes);
-  }
+  pass(config, lane_seeds.data(), lane_seeds.size(), results.data());
+  laned_passes.increment();
+  laned_lanes.add(lane_seeds.size());
   return results;
 }
 

@@ -1,12 +1,13 @@
 // The lane engine: the production packet simulator behind
 // run_simulation, replicate() and every SweepRunner unit. One pass runs
-// up to 64 independent replicates of one SimConfig, each lane under its
-// own seed.
+// any number of independent replicates of one SimConfig, each lane under
+// its own seed.
 //
 // It is not bit-parallel. Lanes are stepped one at a time, in blocks of 8
-// lanes that run lock-step through the cycle range; only the Bernoulli
-// arrival coins are batched across a block (RngLanes::coin, one threshold
-// word per port per cycle). Its speed comes from a leaner design than the
+// lanes that run lock-step through the cycle range, and a pass holds the
+// state of one block at a time; only the Bernoulli arrival coins are
+// batched across a block (RngLanes::coin, one threshold word per port per
+// cycle). Its speed comes from a leaner design than the
 // reference Router/SwitchFabric objects: per-lane router state kept as
 // mask words (VOQ occupancy rows, iSLIP request/grant/accept masks,
 // streaming and availability masks), flat lane-indexed arrays, and a
@@ -56,7 +57,7 @@ enum class LaneFallbackReason {
   kMeasure,      ///< measure_cycles == 0 (the reference engine throws)
   kPattern,      ///< pattern parameters the reference constructors reject
   kRate,         ///< offered load outside the pattern's valid range
-  kFootprint,    ///< 64-lane plane state would exceed the memory cap
+  kFootprint,    ///< one lane block's state would exceed the memory cap
   kObserver,     ///< observed run (the lane engine has no observer hook)
 };
 
@@ -77,8 +78,8 @@ enum class LaneFallbackReason {
 
 /// Runs one replicate per entry of `lane_seeds`: result[k] is bit-identical
 /// to run_reference_simulation(config with seed = lane_seeds[k]) — same
-/// counters, same floating-point sums. More than 64 seeds run as
-/// successive lane passes; unsupported configs run per lane on the
+/// counters, same floating-point sums. Supported configs take one lane
+/// pass for any number of seeds; unsupported configs run per lane on the
 /// reference. Throws exactly where the reference throws (invalid rates,
 /// patterns, cycle counts).
 [[nodiscard]] std::vector<SimResult> run_lane_simulations(

@@ -13,17 +13,33 @@
 // results are bit-identical across kernels by construction.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "sim/simulation.hpp"
 
 namespace sfab::detail {
 
-/// One <= 64-lane pass: out[k] = the SimResult of replicate `seeds[k]`.
-/// The caller (run_lane_simulations) has already verified
-/// lane_sim_supported(config) and chunked the seed list to <= 64 lanes.
+/// Lanes advance in blocks of kLaneBlock, each block running lock-step
+/// through the whole cycle range on its own engine state before the next
+/// block starts, so a pass holds one block of state whatever its lane
+/// count. Lanes are fully independent, so any processing order gives the
+/// same results; small blocks keep a block's packet words and router
+/// planes cache-resident across cycles while the arrival coins batch into
+/// one multi-lane threshold word per port (8 measured fastest, 16 starts
+/// thrashing L2).
+inline constexpr unsigned kLaneBlock = 8;
+
+/// Bytes per in-fabric word of the staged lane fabrics (both
+/// BatcherLanes::Flit and BanyanLanes::Flit); the footprint estimate in
+/// lane_sim_fallback_reason() charges link and FIFO planes at this size.
+inline constexpr std::size_t kLaneFlitBytes = 16;
+
+/// One pass: out[k] = the SimResult of replicate `seeds[k]`, for any
+/// number of lanes. The caller (run_lane_simulations) has already verified
+/// lane_sim_supported(config).
 using LanePassFn = void (*)(const SimConfig& config,
-                            const std::uint64_t* seeds, unsigned lanes,
+                            const std::uint64_t* seeds, std::size_t lanes,
                             SimResult* out);
 
 /// Baseline-ISA engine; never nullptr.

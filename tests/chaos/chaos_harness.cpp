@@ -10,8 +10,9 @@
 //              survivor reclaims and re-runs; SIGCONT resurrects the
 //              zombie, whose duplicate appends and idempotent commit must
 //              be harmless.
-//   steal      one worker is an injected straggler; the finished worker
-//              must install a split marker and carve off its tail.
+//   straggler  one worker sleeps 600 ms after every run; with 12 one-run
+//              shards the other worker must claim around it, so the
+//              sweep settles in under half the straggler's solo time.
 //   enospc     the first fragment commit fails like a full disk; the
 //              retry must succeed from the streamed rows.
 //   heartbeat  a worker keeps computing but its heartbeat freezes — the
@@ -202,21 +203,30 @@ void scenario_stop(Harness& h) {
   check_golden_merge(h, dir, "stop");
 }
 
-void scenario_steal(Harness& h) {
-  const fs::path dir = scenario_dir(h, "steal");
-  // Two big shards so the straggler's tail is worth stealing.
-  const std::vector<std::string> extra = {"--shard-count", "2",
+void scenario_straggler(Harness& h) {
+  const fs::path dir = scenario_dir(h, "straggler");
+  // One shard per run: a fast worker keeps claiming while the straggler
+  // finishes the shard it holds.
+  constexpr unsigned kSlowRunMs = 600;
+  const std::vector<std::string> extra = {"--shard-count", "12",
                                           "--max-reclaims", "10"};
-  const pid_t straggler = spawn(worker_argv(h, dir, 2, 0, extra),
-                                {{"SFAB_CHAOS_SLOW_RUN_MS", "600"}});
-  const pid_t thief = spawn(worker_argv(h, dir, 2, 1, extra), {});
-  CHECK(wait_exit(thief) == 0, "steal: thief worker failed");
-  CHECK(wait_exit(straggler) == 0, "steal: straggler worker failed");
-  const dist::ShardLedger ledger(dir.string(), 1.0);
-  CHECK(!ledger.splits().empty(),
-        "steal: no split marker was installed — the straggler's tail was "
-        "never stolen");
-  check_golden_merge(h, dir, "steal");
+  const auto start = std::chrono::steady_clock::now();
+  const pid_t straggler =
+      spawn(worker_argv(h, dir, 2, 0, extra),
+            {{"SFAB_CHAOS_SLOW_RUN_MS", std::to_string(kSlowRunMs)}});
+  const pid_t fast = spawn(worker_argv(h, dir, 2, 1, extra), {});
+  CHECK(wait_exit(fast) == 0, "straggler: fast worker failed");
+  CHECK(wait_exit(straggler) == 0, "straggler: straggler worker failed");
+  const double settle_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  // The straggler alone would sleep through all 12 runs; over half of
+  // them is the most a balanced sweep may cost.
+  const double limit_s = kSlowRunMs * 6 / 1000.0;
+  CHECK(settle_s < limit_s, "straggler: sweep took " +
+                                std::to_string(settle_s) + " s, limit " +
+                                std::to_string(limit_s) + " s");
+  check_golden_merge(h, dir, "straggler");
 }
 
 void scenario_enospc(Harness& h) {
@@ -257,10 +267,7 @@ void scenario_poison(Harness& h) {
   // the env) deterministically dies the instant it would execute global
   // run 7. Two fixed shards [0,6) and [6,12): shard "1" must be
   // quarantined with suspect exactly 7 (run 6 streams before the crash).
-  // --no-steal keeps the gap deterministic — otherwise a finished worker
-  // may legally rescue the tail of the crashing shard, shrinking the gap.
   std::vector<std::string> argv = {h.cli,
-                                   "--no-steal",
                                    "--arch",
                                    "banyan",
                                    "--ports",
@@ -343,7 +350,8 @@ void scenario_poison(Harness& h) {
 int main(int argc, char** argv) {
   if (argc < 4) {
     std::cerr << "usage: chaos_harness <sfab_cli> "
-                 "<kill|stop|steal|enospc|heartbeat|poison|all> <seed> "
+                 "<kill|stop|straggler|enospc|heartbeat|poison|all> "
+                 "<seed> "
                  "[--cycles N] [--workdir D]\n";
     return 2;
   }
@@ -376,8 +384,8 @@ int main(int argc, char** argv) {
       scenario_kill(h);
     } else if (name == "stop") {
       scenario_stop(h);
-    } else if (name == "steal") {
-      scenario_steal(h);
+    } else if (name == "straggler") {
+      scenario_straggler(h);
     } else if (name == "enospc") {
       scenario_enospc(h);
     } else if (name == "heartbeat") {
@@ -392,7 +400,7 @@ int main(int argc, char** argv) {
 
   if (scenario == "all") {
     for (const char* name :
-         {"kill", "stop", "steal", "enospc", "heartbeat", "poison"}) {
+         {"kill", "stop", "straggler", "enospc", "heartbeat", "poison"}) {
       run(name);
     }
   } else {

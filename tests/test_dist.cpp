@@ -26,6 +26,7 @@
 #include "dist/worker.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
+#include "obs/log.hpp"
 
 namespace sfab {
 namespace {
@@ -242,6 +243,26 @@ TEST_F(DistTest, MergeRefusesIncompleteDirectories) {
   EXPECT_THROW((void)dist::merge_shards(
                    (fs::path(dir_) / "does-not-exist").string()),
                std::runtime_error);
+
+  // A committed fragment whose row count is not its shard's size is
+  // corruption: the merge refuses it by name. Shard "2" owns runs [6, 9).
+  const ResultSet full = SweepRunner(1).run(spec);
+  for (const std::size_t end : {std::size_t{8}, std::size_t{10}}) {
+    std::string fragment = csv_header() + '\n';
+    for (std::size_t i = 6; i < end; ++i) {
+      fragment += csv_row(full[i]);
+      fragment += '\n';
+    }
+    ledger.commit_fragment(dist::ShardKey("2"), fragment);
+    try {
+      (void)dist::merge_shards(dir_);
+      ADD_FAILURE() << "merge accepted a " << end - 6
+                    << "-row fragment for a 3-run shard";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("shard 2 "), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 // --- end-to-end: N workers, merge, crash reclaim -----------------------------
@@ -429,70 +450,15 @@ TEST_F(DistTest, WorkerResumesFromTheCommittedRowPrefix) {
   EXPECT_EQ(dist::merge_shards(dir_).csv_text, reference.str());
 }
 
-// --- work stealing -----------------------------------------------------------
+// --- stragglers --------------------------------------------------------------
 
-TEST_F(DistTest, SplitMarkersAreOneWinner) {
-  dist::ShardLedger ledger(dir_, 30.0);
-  dist::SplitRecord split{"2", "2.1", 5, 9};
-  EXPECT_TRUE(ledger.create_split(split));
-  EXPECT_FALSE(ledger.create_split(split)) << "one split per key, ever";
-  const auto read = ledger.read_split(dist::ShardKey("2"));
-  ASSERT_TRUE(read.has_value());
-  EXPECT_EQ(read->child, "2.1");
-  EXPECT_EQ(read->child_begin, 5u);
-  EXPECT_EQ(read->child_end, 9u);
-  EXPECT_EQ(ledger.splits().size(), 1u);
-  EXPECT_THROW(ledger.create_split(dist::SplitRecord{"3", "9.1", 5, 9}),
-               std::invalid_argument);
-  EXPECT_THROW(ledger.create_split(dist::SplitRecord{"3", "3.1", 9, 9}),
-               std::invalid_argument);
-}
-
-TEST_F(DistTest, MergeStitchesSplitFragmentsByteIdentical) {
-  const SweepSpec spec = quick_spec();
-  const ResultSet full = SweepRunner(1).run(spec);
-  std::ostringstream reference;
-  write_csv(reference, full);
-  const auto fragment = [&](std::size_t begin, std::size_t end) {
-    std::string text = csv_header() + '\n';
-    for (std::size_t i = begin; i < end; ++i) {
-      text += csv_row(full[i]);
-      text += '\n';
-    }
-    return text;
-  };
-
-  // Plan [0,6) + [6,12); shard "1" split at 9 into child "1.1".
-  dist::ShardLedger ledger(dir_, 30.0);
-  ledger.publish(
-      dist::LedgerPlan{spec.run_count(), 2, dist::fingerprint_of(spec)});
-  ASSERT_TRUE(ledger.create_split(dist::SplitRecord{"1", "1.1", 9, 12}));
-  ledger.commit_fragment(dist::ShardKey("0"), fragment(0, 6));
-  ledger.commit_fragment(dist::ShardKey("1"), fragment(6, 9));
-  ledger.commit_fragment(dist::ShardKey("1.1"), fragment(9, 12));
-  EXPECT_EQ(dist::merge_shards(dir_).csv_text, reference.str())
-      << "split fragments must stitch back into canonical row order";
-
-  // Over-covering variant: shard "1" committed its FULL extent in the
-  // race window before the split marker landed. The child subtree is
-  // subsumed — even when the child fragment never materialized.
-  ledger.commit_fragment(dist::ShardKey("1"), fragment(6, 12));
-  fs::remove(ledger.fragment_path(dist::ShardKey("1.1")));
-  EXPECT_EQ(dist::merge_shards(dir_).csv_text, reference.str())
-      << "an over-covering parent fragment must subsume the child";
-
-  // Any other row count is corruption, not a legal race outcome.
-  ledger.commit_fragment(dist::ShardKey("1"), fragment(6, 10));
-  EXPECT_THROW((void)dist::merge_shards(dir_), std::runtime_error);
-}
-
-TEST_F(DistTest, FinishedWorkerStealsTheStragglersTail) {
+TEST_F(DistTest, FastWorkerClaimsMostShardsPastAStraggler) {
   const SweepSpec spec = quick_spec();
   std::ostringstream reference;
   write_csv(reference, SweepRunner(1).run(spec));
 
-  // Two big shards; worker 0 is an injected straggler (sleeps after each
-  // run), worker 1 finishes its shard fast and must steal the tail.
+  // One shard per run; worker 0 is an injected straggler (sleeps after each
+  // run), so worker 1 keeps claiming while worker 0 finishes each shard.
   std::vector<std::thread> workers;
   std::vector<dist::WorkerReport> reports(2);
   for (unsigned w = 0; w < 2; ++w) {
@@ -503,7 +469,8 @@ TEST_F(DistTest, FinishedWorkerStealsTheStragglersTail) {
       options.stale_after_s = 30.0;
       options.run_delay_ms = w == 0 ? 150 : 0;
       try {
-        reports[w] = dist::run_worker(spec, 2, dir_, options);
+        reports[w] =
+            dist::run_worker(spec, spec.run_count(), dir_, options);
       } catch (const std::exception& error) {
         // Fail the test instead of std::terminate-ing the binary.
         ADD_FAILURE() << "worker " << w << " threw: " << error.what();
@@ -512,12 +479,41 @@ TEST_F(DistTest, FinishedWorkerStealsTheStragglersTail) {
   }
   for (std::thread& worker : workers) worker.join();
 
-  EXPECT_GE(reports[0].splits + reports[1].splits, 1u)
-      << "the idle worker must have split the straggler's shard";
+  EXPECT_GT(reports[1].committed, reports[0].committed)
+      << "the fast worker must take most of the small shards";
+  EXPECT_EQ(reports[0].committed + reports[1].committed, spec.run_count());
   const dist::MergeOutput merged =
       dist::merge_shards(dir_, dist::fingerprint_of(spec));
   EXPECT_EQ(merged.csv_text, reference.str())
-      << "stolen work must still merge byte-identical";
+      << "a straggled sweep must still merge byte-identical";
+}
+
+TEST_F(DistTest, WorkersClaimFromThePlansEnd) {
+  // Axis values usually rise, so the last shards tend to be the longest:
+  // a worker walks the plan backwards, starting its own index from the end.
+  const SweepSpec spec = quick_spec();
+  std::ostringstream captured;
+  const obs::LogLevel saved = obs::log_level();
+  obs::set_log_level(obs::LogLevel::kInfo);
+  obs::set_log_sink(&captured);
+  dist::WorkerOptions options;
+  options.threads = 1;
+  options.worker_index = 1;
+  const dist::WorkerReport report = dist::run_worker(spec, 4, dir_, options);
+  obs::set_log_sink(nullptr);
+  obs::set_log_level(saved);
+
+  std::vector<std::string> order;
+  std::istringstream lines(captured.str());
+  const std::string marker = "running shard ";
+  for (std::string line; std::getline(lines, line);) {
+    const std::size_t at = line.find(marker);
+    if (at == std::string::npos) continue;
+    const std::size_t begin = at + marker.size();
+    order.push_back(line.substr(begin, line.find(' ', begin) - begin));
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{"2", "1", "0", "3"}));
+  EXPECT_EQ(report.committed, 4u);
 }
 
 // --- retry budget + quarantine -----------------------------------------------
