@@ -26,11 +26,13 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/merge.hpp"
 #include "dist/shard_plan.hpp"
@@ -119,6 +121,19 @@ std::vector<std::string> split_list(const std::string& text) {
   while (std::getline(stream, item, ',')) items.push_back(item);
   if (items.empty()) items.push_back(text);
   return items;
+}
+
+/// `text` as the unsigned T of `flag`. A sign, whitespace, a base prefix,
+/// trailing characters or a value T cannot hold is an error naming the
+/// flag — never a wrapped or truncated count.
+template <class T>
+T parse_unsigned_flag(const std::string& flag, const std::string& text) {
+  const std::optional<T> value = parse_number<T>(text);
+  if (!value) {
+    throw std::invalid_argument(flag + " expects an unsigned integer, got '" +
+                                text + "'");
+  }
+  return *value;
 }
 
 template <class T, class Parse>
@@ -351,8 +366,8 @@ int main(int argc, char** argv) {
         spec.architectures = parse_list<Architecture>(
             next(), [](const std::string& s) { return parse_architecture(s); });
       } else if (flag == "--ports") {
-        spec.ports = parse_list<unsigned>(next(), [](const std::string& s) {
-          return static_cast<unsigned>(std::stoul(s));
+        spec.ports = parse_list<unsigned>(next(), [&](const std::string& s) {
+          return parse_unsigned_flag<unsigned>(flag, s);
         });
       } else if (flag == "--load") {
         spec.loads = parse_list<double>(
@@ -388,33 +403,33 @@ int main(int argc, char** argv) {
         }
       } else if (flag == "--buffer-words") {
         spec.buffer_words =
-            parse_list<unsigned>(next(), [](const std::string& s) {
-              return static_cast<unsigned>(std::stoul(s));
+            parse_list<unsigned>(next(), [&](const std::string& s) {
+              return parse_unsigned_flag<unsigned>(flag, s);
             });
       } else if (flag == "--packet-words") {
         spec.packet_words =
-            parse_list<unsigned>(next(), [](const std::string& s) {
-              return static_cast<unsigned>(std::stoul(s));
+            parse_list<unsigned>(next(), [&](const std::string& s) {
+              return parse_unsigned_flag<unsigned>(flag, s);
             });
       } else if (flag == "--replicates") {
-        spec.replicates = static_cast<unsigned>(std::stoul(next()));
+        spec.replicates = parse_unsigned_flag<unsigned>(flag, next());
       } else if (flag == "--threads") {
-        threads = static_cast<unsigned>(std::stoul(next()));
+        threads = parse_unsigned_flag<unsigned>(flag, next());
       } else if (flag == "--cycles") {
-        spec.base.measure_cycles = std::stoull(next());
+        spec.base.measure_cycles = parse_unsigned_flag<Cycle>(flag, next());
       } else if (flag == "--warmup") {
-        spec.base.warmup_cycles = std::stoull(next());
+        spec.base.warmup_cycles = parse_unsigned_flag<Cycle>(flag, next());
       } else if (flag == "--seed") {
-        spec.base.seed = std::stoull(next());
+        spec.base.seed = parse_unsigned_flag<std::uint64_t>(flag, next());
       } else if (flag == "--skid") {
         spec.base.buffer_skid_words =
-            static_cast<unsigned>(std::stoul(next()));
+            parse_unsigned_flag<unsigned>(flag, next());
       } else if (flag == "--dram") {
         spec.base.dram_buffers = true;
       } else if (flag == "--csv") {
         csv_path = next();
       } else if (flag == "--shards") {
-        shards = static_cast<unsigned>(std::stoul(next()));
+        shards = parse_unsigned_flag<unsigned>(flag, next());
         if (shards == 0) {
           throw std::invalid_argument("--shards must be >= 1");
         }
@@ -432,12 +447,12 @@ int main(int argc, char** argv) {
       } else if (flag == "--allow-quarantined") {
         allow_quarantined = true;
       } else if (flag == "--max-reclaims") {
-        max_reclaims = static_cast<unsigned>(std::stoul(next()));
+        max_reclaims = parse_unsigned_flag<unsigned>(flag, next());
         if (max_reclaims == 0) {
           throw std::invalid_argument("--max-reclaims must be >= 1");
         }
       } else if (flag == "--shard-count") {
-        shard_count_override = std::stoull(next());
+        shard_count_override = parse_unsigned_flag<std::size_t>(flag, next());
         if (shard_count_override == 0) {
           throw std::invalid_argument("--shard-count must be >= 1");
         }
@@ -453,7 +468,7 @@ int main(int argc, char** argv) {
       } else if (flag == "--probe-out") {
         probe_path = next();
       } else if (flag == "--probe-stride") {
-        probe_stride = std::stoull(next());
+        probe_stride = parse_unsigned_flag<std::uint64_t>(flag, next());
         if (probe_stride == 0) {
           throw std::invalid_argument("--probe-stride must be >= 1");
         }

@@ -81,17 +81,6 @@ void refill_lane_group(Rng* lanes, std::uint64_t* out) noexcept {
 
 }  // namespace
 
-LaneRng64::LaneRng64(std::uint64_t base_seed) noexcept {
-  for (unsigned k = 0; k < kLanes; ++k) {
-    lanes_[k] = Rng{derive_stream_seed(base_seed, k)};
-  }
-}
-
-void LaneRng64::refill_() noexcept {
-  refill_lane_group(lanes_.data(), pending_.data());
-  cursor_ = 0;
-}
-
 LaneRngBlock::LaneRngBlock(std::uint64_t base_seed, unsigned words,
                            std::uint64_t first_lane)
     : words_(words) {

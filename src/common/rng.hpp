@@ -7,7 +7,6 @@
 // (std::uniform_int_distribution is not portable across library versions).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -106,14 +105,12 @@ class Rng {
   std::uint64_t s_[4];
 };
 
-/// Multi-lane integer-threshold Bernoulli draw: bit j of the result is
-/// lanes[j].next_bernoulli_threshold(threshold) for j < count (j >= count
-/// bits are zero), consuming exactly one raw u64 per listed lane. This is
-/// the packed arrival draw of the bit-sliced packet engine: one word op
-/// answers "which of these replicate lanes saw a packet this cycle", and
-/// each lane's generator advances exactly as the scalar TrafficGenerator
-/// would have advanced it, so the lanes stay draw-for-draw exchangeable
-/// with scalar runs.
+/// Multi-generator integer-threshold Bernoulli draw: bit j of the result
+/// is lanes[j].next_bernoulli_threshold(threshold) for j < count (j >=
+/// count bits are zero), consuming exactly one raw u64 per listed
+/// generator. The packet engine draws one arrival coin per port with
+/// next_bernoulli_threshold; this function's last caller is perfbench's
+/// common.bernoulli_word_ns row.
 [[nodiscard]] inline std::uint64_t next_bernoulli_word(
     Rng* lanes, unsigned count, std::uint64_t threshold) noexcept {
   std::uint64_t word = 0;
@@ -125,10 +122,11 @@ class Rng {
 
 /// Bit-serial view over an Rng: successive next_bit() calls return the
 /// LSB-first bit expansion of successive next_u64() draws. This is the
-/// scalar reference for one lane of LaneRng64: lane k of
-/// LaneRng64{seed} emits exactly BitRng{Rng{derive_stream_seed(seed, k)}}'s
-/// stream, which is what the bit-sliced gate-level equivalence harness
-/// drives the scalar engine with.
+/// scalar reference for one lane of LaneRngBlock: lane k of
+/// LaneRngBlock{seed, words} emits exactly
+/// BitRng{Rng{derive_stream_seed(seed, k)}}'s stream, which is what the
+/// bit-sliced gate-level equivalence harness drives the scalar engine
+/// with.
 class BitRng {
  public:
   explicit BitRng(Rng rng) noexcept : rng_(rng) {}
@@ -150,47 +148,18 @@ class BitRng {
   unsigned left_ = 0;
 };
 
-/// 64 independent, decorrelated random bit streams packed one per bit —
-/// the stimulus source for the 64-lane bit-sliced gate-level engine. Lane
-/// k is a full xoshiro256** generator seeded with
-/// derive_stream_seed(base_seed, k); next_word() returns bit k = lane k's
-/// next bit. Internally each lane draws one whole u64 per 64 words and a
-/// 64x64 bit transpose repacks them, so the amortized cost per word is a
-/// single next_u64 plus ~6 shuffle ops — fast enough that stimulus
-/// generation keeps up with the bit-sliced netlist sweep.
-class LaneRng64 {
- public:
-  static constexpr unsigned kLanes = 64;
-
-  explicit LaneRng64(std::uint64_t base_seed) noexcept;
-
-  /// Next 64-lane stimulus word (bit k = lane k's next Bernoulli(1/2)
-  /// draw).
-  [[nodiscard]] std::uint64_t next_word() noexcept {
-    if (cursor_ == kLanes) refill_();
-    return pending_[cursor_++];
-  }
-
- private:
-  void refill_() noexcept;
-
-  std::array<Rng, kLanes> lanes_;
-  std::array<std::uint64_t, kLanes> pending_{};
-  unsigned cursor_ = kLanes;
-};
-
-/// Multi-word generalization of LaneRng64: W×64 independent bit streams
-/// packed as a *lane block* of W words — the stimulus source for the
-/// multi-word bit-sliced gate-level engine (64–512 Monte-Carlo lanes per
-/// sweep). Bit b of word w is lane (64·w + b), and lane j draws the stream
-/// derive_stream_seed(base_seed, first_lane + j) — exactly the seed lane
-/// (first_lane + j) of LaneRng64 / BitRng would use. Streams are therefore
-/// a pure function of the global lane index: a lane emits the identical
-/// bit sequence no matter which block width (or pass offset) processes it,
-/// which is what makes characterization results independent of the engine's
-/// block width. Each 64-lane word group transposes independently (same
-/// 64×64 bit transpose as LaneRng64), so the amortized cost stays one raw
-/// xoshiro draw per lane per 64 blocks.
+/// W×64 independent, decorrelated random bit streams packed as a *lane
+/// block* of W words — the stimulus source for the bit-sliced gate-level
+/// engine (64–512 Monte-Carlo lanes per sweep). Bit b of word w is lane
+/// (64·w + b), and lane j draws the stream
+/// derive_stream_seed(base_seed, first_lane + j) — exactly the seed a
+/// BitRng reference of lane (first_lane + j) would use. Streams are
+/// therefore a pure function of the global lane index: a lane emits the
+/// identical bit sequence no matter which block width (or pass offset)
+/// processes it, which is what makes characterization results independent
+/// of the engine's block width. Each 64-lane word group transposes
+/// independently through a 64×64 bit transpose, so the amortized cost
+/// stays one raw xoshiro draw per lane per 64 blocks.
 class LaneRngBlock {
  public:
   static constexpr unsigned kWordLanes = 64;
@@ -215,29 +184,6 @@ class LaneRngBlock {
       out[w] = pending_[w * kWordLanes + cursor_];
     }
     ++cursor_;
-  }
-
-  /// Writes one per-lane Bernoulli(p) draw into out[0..words()): bit b of
-  /// out[w] = lane (64·w + b)'s next_bernoulli_threshold(
-  /// bernoulli_threshold(p)) draw, p clamped to [0, 1]. Every lane consumes
-  /// exactly one raw u64 per call (unlike next_block, which amortizes one
-  /// per 64 calls), so a lane's stream is a pure function of its global
-  /// lane index and the call sequence — invariant across block widths and
-  /// first_lane splits, same as next_block. Calls may interleave with
-  /// next_block; buffered Bernoulli(1/2) bits drawn at an earlier refill
-  /// are unaffected.
-  void next_bernoulli_word(double p, std::uint64_t* out) noexcept {
-    next_bernoulli_word_threshold(Rng::bernoulli_threshold(p), out);
-  }
-
-  /// next_bernoulli_word with the integer threshold precomputed via
-  /// Rng::bernoulli_threshold — the per-call form for fixed-rate arrivals.
-  void next_bernoulli_word_threshold(std::uint64_t threshold,
-                                     std::uint64_t* out) noexcept {
-    for (unsigned w = 0; w < words_; ++w) {
-      out[w] = sfab::next_bernoulli_word(
-          lanes_.data() + std::size_t{w} * kWordLanes, kWordLanes, threshold);
-    }
   }
 
  private:

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -16,8 +15,10 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <system_error>
 
+#include "common/parse.hpp"
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 
@@ -179,13 +180,6 @@ class RecordReader {
   std::istringstream in_;
   std::string magic_;
 };
-
-template <class T>
-[[nodiscard]] bool parse_unsigned(const std::string& text, T& out) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc{} && ptr == text.data() + text.size();
-}
 
 [[nodiscard]] std::string shard_file(const char* subdir, const ShardKey& key,
                                      const char* suffix,
@@ -440,19 +434,17 @@ std::vector<std::string> ShardLedger::committed_prefix(
     if (eol == std::string::npos) break;  // torn trailing append: drop
     const std::string line = text->substr(at, eol - at);
     at = eol + 1;
-    std::size_t index = 0;
     const std::size_t comma = line.find(',');
-    if (comma == std::string::npos ||
-        !parse_unsigned(line.substr(0, comma), index)) {
-      continue;
-    }
-    if (index < begin || index >= end) continue;
+    if (comma == std::string::npos) continue;
+    const std::optional<std::size_t> index =
+        parse_number<std::size_t>(std::string_view(line).substr(0, comma));
+    if (!index || *index < begin || *index >= end) continue;
     if (expected_fields != 0) {
       const std::size_t commas =
           static_cast<std::size_t>(std::count(line.begin(), line.end(), ','));
       if (commas + 1 != expected_fields) continue;
     }
-    auto& slot = by_index[index - begin];
+    auto& slot = by_index[*index - begin];
     if (!slot) slot = line;
   }
 
@@ -485,10 +477,10 @@ std::optional<ProgressRecord> ShardLedger::read_progress(
   ProgressRecord progress;
   std::string field, value;
   while (reader.next(field, value)) {
-    if (field == "done") {
-      if (!parse_unsigned(value, progress.done)) return std::nullopt;
-    } else if (field == "total") {
-      if (!parse_unsigned(value, progress.total)) return std::nullopt;
+    if (field == "done" || field == "total") {
+      const std::optional<std::size_t> n = parse_number<std::size_t>(value);
+      if (!n) return std::nullopt;
+      (field == "done" ? progress.done : progress.total) = *n;
     } else if (field == "stamp_ms") {
       progress.stamp_ms = std::atoll(value.c_str());
     }
@@ -514,10 +506,9 @@ unsigned ShardLedger::reclaim_count(const ShardKey& key) const {
     if (name.size() <= stem.size() || name.compare(0, stem.size(), stem) != 0) {
       continue;
     }
-    unsigned n = 0;
-    if (parse_unsigned(name.substr(stem.size()), n)) {
-      count = std::max(count, n);
-    }
+    const std::optional<unsigned> n =
+        parse_number<unsigned>(std::string_view(name).substr(stem.size()));
+    if (n) count = std::max(count, *n);
   }
   return count;
 }
@@ -571,16 +562,18 @@ namespace {
   while (reader.next(field, value)) {
     if (field == "key") {
       record.key = value;
-    } else if (field == "begin") {
-      if (!parse_unsigned(value, record.begin)) return std::nullopt;
-    } else if (field == "end") {
-      if (!parse_unsigned(value, record.end)) return std::nullopt;
-    } else if (field == "committed") {
-      if (!parse_unsigned(value, record.committed)) return std::nullopt;
-    } else if (field == "suspect") {
-      if (!parse_unsigned(value, record.suspect)) return std::nullopt;
+    } else if (field == "begin" || field == "end" || field == "committed" ||
+               field == "suspect") {
+      const std::optional<std::size_t> n = parse_number<std::size_t>(value);
+      if (!n) return std::nullopt;
+      (field == "begin"       ? record.begin
+       : field == "end"       ? record.end
+       : field == "committed" ? record.committed
+                              : record.suspect) = *n;
     } else if (field == "reclaims") {
-      if (!parse_unsigned(value, record.reclaims)) return std::nullopt;
+      const std::optional<unsigned> n = parse_number<unsigned>(value);
+      if (!n) return std::nullopt;
+      record.reclaims = *n;
     } else if (field == "worker") {
       record.worker = value;
     } else if (field == "reason") {

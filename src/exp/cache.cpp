@@ -10,10 +10,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "obs/registry.hpp"
 
 namespace sfab {
@@ -104,22 +106,12 @@ void format_row(std::ostream& out, const std::string& key,
     return v;
   };
   const auto u64 = [&](std::size_t i) {
-    // strtoull alone is too permissive for a durability check: it skips
-    // leading whitespace, accepts a sign ("-5" wraps to 2^64-5), honours
-    // 0x prefixes, and flags overflow only through errno. Counters are
-    // written as plain decimal digits, so require exactly that.
-    const std::string& text = fields[i];
-    if (text.empty() ||
-        text.find_first_not_of("0123456789") != std::string::npos) {
-      throw std::invalid_argument("bad integer field");
-    }
-    errno = 0;
-    char* end = nullptr;
-    const auto v = std::strtoull(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size() || errno == ERANGE) {
-      throw std::invalid_argument("bad integer field");
-    }
-    return static_cast<std::uint64_t>(v);
+    // Counters are written as plain decimal digits, and parse_number
+    // accepts exactly that: no whitespace, sign or 0x prefix, no overflow.
+    const std::optional<std::uint64_t> v =
+        parse_number<std::uint64_t>(fields[i]);
+    if (!v) throw std::invalid_argument("bad integer field");
+    return *v;
   };
   SimResult r;
   r.arch = parse_architecture(fields[1]);

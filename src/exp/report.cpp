@@ -2,10 +2,12 @@
 
 #include <charconv>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string_view>
 
+#include "common/parse.hpp"
 #include "sim/report.hpp"
 
 namespace sfab {
@@ -51,15 +53,13 @@ namespace {
 }
 
 template <class T>
-[[nodiscard]] T parse_number(std::string_view text, const char* what) {
-  T value{};
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || ptr != text.data() + text.size()) {
+[[nodiscard]] T read_field(std::string_view text, const char* what) {
+  const std::optional<T> value = parse_number<T>(text);
+  if (!value) {
     throw std::invalid_argument(std::string("read_csv: bad ") + what +
                                 " \"" + std::string(text) + "\"");
   }
-  return value;
+  return *value;
 }
 
 [[nodiscard]] std::vector<std::string_view> split_fields(
@@ -165,43 +165,43 @@ ResultSet read_csv(std::istream& is) {
     SimConfig& c = rec.config;
     SimResult& r = rec.result;
     std::size_t f = 0;
-    rec.index = parse_number<std::size_t>(fields[f++], "index");
-    rec.replicate = parse_number<unsigned>(fields[f++], "replicate");
-    c.seed = parse_number<std::uint64_t>(fields[f++], "seed");
+    rec.index = read_field<std::size_t>(fields[f++], "index");
+    rec.replicate = read_field<unsigned>(fields[f++], "replicate");
+    c.seed = read_field<std::uint64_t>(fields[f++], "seed");
     c.scheme = parse_router_scheme(fields[f++]);
     c.arch = parse_architecture(fields[f++]);
-    c.ports = parse_number<unsigned>(fields[f++], "ports");
-    c.offered_load = parse_number<double>(fields[f++], "offered_load");
+    c.ports = read_field<unsigned>(fields[f++], "ports");
+    c.offered_load = read_field<double>(fields[f++], "offered_load");
     c.pattern = parse_traffic_pattern(fields[f++]);
-    c.packet_words = parse_number<unsigned>(fields[f++], "packet_words");
+    c.packet_words = read_field<unsigned>(fields[f++], "packet_words");
     c.payload = parse_payload_kind(fields[f++]);
-    c.tech.feature_um = parse_number<double>(fields[f++], "tech_um");
+    c.tech.feature_um = read_field<double>(fields[f++], "tech_um");
     c.buffer_words_per_switch =
-        parse_number<unsigned>(fields[f++], "buffer_words");
-    c.warmup_cycles = parse_number<Cycle>(fields[f++], "warmup_cycles");
-    c.measure_cycles = parse_number<Cycle>(fields[f++], "measure_cycles");
+        read_field<unsigned>(fields[f++], "buffer_words");
+    c.warmup_cycles = read_field<Cycle>(fields[f++], "warmup_cycles");
+    c.measure_cycles = read_field<Cycle>(fields[f++], "measure_cycles");
     r.egress_throughput =
-        parse_number<double>(fields[f++], "egress_throughput");
+        read_field<double>(fields[f++], "egress_throughput");
     r.delivered_words =
-        parse_number<std::uint64_t>(fields[f++], "delivered_words");
+        read_field<std::uint64_t>(fields[f++], "delivered_words");
     r.delivered_packets =
-        parse_number<std::uint64_t>(fields[f++], "delivered_packets");
+        read_field<std::uint64_t>(fields[f++], "delivered_packets");
     r.input_queue_drops =
-        parse_number<std::uint64_t>(fields[f++], "input_queue_drops");
+        read_field<std::uint64_t>(fields[f++], "input_queue_drops");
     r.mean_packet_latency_cycles =
-        parse_number<double>(fields[f++], "mean_packet_latency_cycles");
-    r.power_w = parse_number<double>(fields[f++], "power_w");
-    r.switch_power_w = parse_number<double>(fields[f++], "switch_power_w");
-    r.buffer_power_w = parse_number<double>(fields[f++], "buffer_power_w");
-    r.wire_power_w = parse_number<double>(fields[f++], "wire_power_w");
+        read_field<double>(fields[f++], "mean_packet_latency_cycles");
+    r.power_w = read_field<double>(fields[f++], "power_w");
+    r.switch_power_w = read_field<double>(fields[f++], "switch_power_w");
+    r.buffer_power_w = read_field<double>(fields[f++], "buffer_power_w");
+    r.wire_power_w = read_field<double>(fields[f++], "wire_power_w");
     r.energy_per_bit_j =
-        parse_number<double>(fields[f++], "energy_per_bit_j");
+        read_field<double>(fields[f++], "energy_per_bit_j");
     r.words_buffered =
-        parse_number<std::uint64_t>(fields[f++], "words_buffered");
+        read_field<std::uint64_t>(fields[f++], "words_buffered");
     r.sram_buffered_words =
-        parse_number<std::uint64_t>(fields[f++], "sram_buffered_words");
-    r.stall_cycles = parse_number<std::uint64_t>(fields[f++], "stall_cycles");
-    r.measured_cycles = parse_number<Cycle>(fields[f++], "measured_cycles");
+        read_field<std::uint64_t>(fields[f++], "sram_buffered_words");
+    r.stall_cycles = read_field<std::uint64_t>(fields[f++], "stall_cycles");
+    r.measured_cycles = read_field<Cycle>(fields[f++], "measured_cycles");
     // Mirror the identification block SimResult carries alongside.
     r.arch = c.arch;
     r.ports = c.ports;

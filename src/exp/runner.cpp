@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdint>
 #include <exception>
 #include <mutex>
 #include <string>
@@ -75,22 +74,19 @@ ResultSet SweepRunner::run_range(const SweepSpec& spec, std::size_t begin,
     for (std::size_t i = 0; i < records.size(); ++i) pending[i] = i;
   }
 
-  // Work units: under kLaned, one unit per grid point — replicate siblings
-  // are adjacent in expansion order (the replicate index is the fastest
-  // axis) and differ only by derived seed, so a unit's uncached members run
-  // as lanes of one lane-engine pass (a lone member as a 1-lane pass).
-  // Under kScalar every record is its own unit on the reference engine.
+  // Work units: one unit per grid point. Replicate siblings are adjacent
+  // in expansion order (the replicate index is the fastest axis) and
+  // differ only by derived seed; a unit runs its uncached members one
+  // after another and fires their callbacks together.
   std::vector<std::pair<std::size_t, std::size_t>> units;  // [first, last)
   for (std::size_t first = 0; first < pending.size();) {
+    const RunRecord& head = records[pending[first]];
+    const std::size_t grid = head.index - head.replicate;
     std::size_t last = first + 1;
-    if (engine_ == ReplicateEngine::kLaned) {
-      const RunRecord& head = records[pending[first]];
-      const std::size_t grid = head.index - head.replicate;
-      while (last < pending.size()) {
-        const RunRecord& next = records[pending[last]];
-        if (next.index - next.replicate != grid) break;
-        ++last;
-      }
+    while (last < pending.size()) {
+      const RunRecord& next = records[pending[last]];
+      if (next.index - next.replicate != grid) break;
+      ++last;
     }
     units.emplace_back(first, last);
     first = last;
@@ -114,19 +110,11 @@ ResultSet SweepRunner::run_range(const SweepSpec& spec, std::size_t begin,
       const auto [first, last] = units[n];
       const obs::ScopedPhase unit_timer(unit_phase);
       try {
-        if (engine_ == ReplicateEngine::kScalar) {
-          const std::size_t i = pending[first];
-          records[i].result = run_reference_simulation(records[i].config);
-        } else {
-          std::vector<std::uint64_t> seeds(last - first);
-          for (std::size_t m = first; m < last; ++m) {
-            seeds[m - first] = records[pending[m]].config.seed;
-          }
-          const std::vector<SimResult> batch =
-              run_lane_simulations(records[pending[first]].config, seeds);
-          for (std::size_t m = first; m < last; ++m) {
-            records[pending[m]].result = batch[m - first];
-          }
+        for (std::size_t m = first; m < last; ++m) {
+          RunRecord& record = records[pending[m]];
+          record.result = engine_ == ReplicateEngine::kScalar
+                              ? run_reference_simulation(record.config)
+                              : run_simulation(record.config);
         }
         if (on_record_) {
           const std::lock_guard<std::mutex> lock(callback_mutex);

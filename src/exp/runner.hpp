@@ -13,13 +13,12 @@
 // fresh result is stored for the next sweep. Purity of run_simulation
 // guarantees cached rows are bit-identical to re-simulated ones.
 //
-// Every work unit runs on the lane engine (sim/lane_sim.hpp) by default.
-// Replicates of one grid point differ only by derived seed, so a unit is
-// one grid point with all its uncached replicates as lanes of one pass; a
-// lone run is a 1-lane pass. The lane engine is bit-identical to the
-// reference engine (and falls back to it per lane where unsupported), so
-// the engine choice — like the thread count — never changes a single
-// result bit.
+// A work unit is one grid point: its uncached replicates, which differ
+// only by derived seed, run one after another through run_simulation (the
+// packet engine, sim/lane_sim.hpp) by default. The packet engine is
+// bit-identical to the reference engine (and falls back to it where
+// unsupported), so the engine choice — like the thread count — never
+// changes a single result bit.
 #pragma once
 
 #include <functional>
@@ -48,10 +47,9 @@ class SweepRunner {
 
   [[nodiscard]] ResultCache* cache() const noexcept { return cache_; }
 
-  /// Selects the engine: kLaned (default) runs each grid point's
-  /// replicates as lanes of one lane-engine pass, kScalar runs every
-  /// record through run_reference_simulation. Results are bit-identical
-  /// either way.
+  /// Selects the engine: kLaned (default) runs every record through
+  /// run_simulation, kScalar through run_reference_simulation. Results
+  /// are bit-identical either way.
   SweepRunner& with_engine(ReplicateEngine engine) noexcept {
     engine_ = engine;
     return *this;

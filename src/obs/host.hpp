@@ -1,6 +1,6 @@
-// Host metadata for benchmark provenance: the BENCH_*.json trajectory is
-// only interpretable across machines when each record says what machine
-// and kernel selection produced it.
+// Host metadata for benchmark provenance: a benchmark record (perfbench's
+// result JSON) is only interpretable across machines when it says what
+// machine and kernel selection produced it.
 #pragma once
 
 #include <iosfwd>
@@ -12,7 +12,7 @@ struct HostInfo {
   std::string cpu_model;        ///< from /proc/cpuinfo; "unknown" elsewhere
   unsigned logical_cores = 0;   ///< std::thread::hardware_concurrency
   std::string gate_lane_kernel;    ///< dispatched gatelevel kernel name
-  std::string packet_lane_kernel;  ///< dispatched packet-lane kernel name
+  std::string packet_lane_kernel;  ///< dispatched packet-engine kernel name
 };
 
 /// Probes the current host (cached after the first call).

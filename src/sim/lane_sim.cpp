@@ -39,7 +39,7 @@ std::string_view to_string(LaneFallbackReason reason) noexcept {
 
 LaneFallbackReason lane_sim_fallback_reason(const SimConfig& c) noexcept {
   using R = LaneFallbackReason;
-  // Every scheme is laned (VOQ/iSLIP and FIFO/HOL fronts); the check
+  // Every scheme is covered (VOQ/iSLIP and FIFO/HOL fronts); the check
   // guards a future enum extension from running on the wrong front.
   if (c.scheme != RouterScheme::kVoq && c.scheme != RouterScheme::kFifo) {
     return R::kScheme;
@@ -67,7 +67,7 @@ LaneFallbackReason lane_sim_fallback_reason(const SimConfig& c) noexcept {
     return R::kQueue;
   }
   if (c.measure_cycles == 0) return R::kMeasure;  // the reference throws
-  // The staged lane fabrics stamp flits with 32-bit injection cycles and
+  // The staged fabrics stamp flits with 32-bit injection cycles and
   // (Batcher-Banyan) 32-bit packet ids. Bound the cycle horizon so neither
   // can wrap: ids advance at most `ports` per cycle. Scalar runs at these
   // horizons take hours, so real sweeps never hit this.
@@ -109,15 +109,13 @@ LaneFallbackReason lane_sim_fallback_reason(const SimConfig& c) noexcept {
     if (!(rate >= 0.0 && rate <= 1.0)) return R::kRate;
   }
 
-  // Plane-state footprint of one lane block (a pass holds one block of
-  // state at a time), capped at ~512 MB; larger configs run per lane on
+  // State footprint of one run, capped at ~512 MB; larger configs run on
   // the reference. The ingress front keeps capacity(+1) packet slots per
   // bank (a granted packet streams out of its slot until the tail leaves);
-  // the fused engines add their energy LUTs + deferred event buffers, the
+  // the fused engines add their energy LUTs + deferred event buffer, the
   // staged fabrics their per-stage link/wire planes (and, for banyan, the
   // node-FIFO ring planes).
-  const std::uint64_t lanes = detail::kLaneBlock;
-  const std::uint64_t banks = lanes * c.ports;
+  const std::uint64_t banks = c.ports;
   const std::uint64_t slots = banks * (c.ingress_queue_packets + 1);
   std::uint64_t bytes = slots * c.packet_words * sizeof(Word) +
                         slots * 16 + banks * c.ports * 8;
@@ -125,25 +123,25 @@ LaneFallbackReason lane_sim_fallback_reason(const SimConfig& c) noexcept {
   if (bw1 > (std::uint64_t{1} << 20)) return R::kFootprint;
   switch (c.arch) {
     case Architecture::kCrossbar:
-      // Pair LUT [(bw+1)^2 doubles] + per-lane event buffers + polarity.
-      bytes += bw1 * bw1 * 8 + lanes * 4096 * 4 + 2 * banks * 4;
+      // Pair LUT [(bw+1)^2 doubles] + event buffer + polarity.
+      bytes += bw1 * bw1 * 8 + 4096 * 4 + 2 * banks * 4;
       break;
     case Architecture::kFullyConnected:
-      bytes += bw1 * 8 + lanes * 4096 * 4 + banks * 4;
+      bytes += bw1 * 8 + 4096 * 4 + banks * 4;
       break;
     case Architecture::kBatcherBanyan: {
       const std::uint64_t d = log2_exact(c.ports);
       const std::uint64_t stages = d * (d + 1) / 2 + d;
-      bytes += lanes * stages * (c.ports * (detail::kLaneFlitBytes + 4) + 16);
+      bytes += stages * (c.ports * (detail::kStageFlitBytes + 4) + 16);
       break;
     }
     case Architecture::kBanyan: {
       if (c.buffer_words_per_switch > (1u << 20)) return R::kFootprint;
       const std::uint64_t stages = log2_exact(c.ports);
-      const std::uint64_t rings = lanes * stages * c.ports;  // (N/2) * 2
-      bytes += lanes * stages * (c.ports * (detail::kLaneFlitBytes + 4) + 24) +
+      const std::uint64_t rings = stages * c.ports;  // (N/2) * 2
+      bytes += stages * (c.ports * (detail::kStageFlitBytes + 4) + 24) +
                rings * (std::uint64_t{c.buffer_words_per_switch} *
-                            (detail::kLaneFlitBytes + 1) +
+                            (detail::kStageFlitBytes + 1) +
                         8);
       break;
     }
@@ -160,25 +158,22 @@ bool lane_sim_supported(const SimConfig& c) noexcept {
 
 namespace {
 
-/// The POPCNT pass when it was built and the running CPU has POPCNT,
+/// The POPCNT engine when it was built and the running CPU has POPCNT,
 /// nullptr otherwise.
-detail::LanePassFn popcnt_pass() noexcept {
+detail::EngineFn popcnt_engine() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
-  if (__builtin_cpu_supports("popcnt")) return detail::lane_pass_popcnt();
+  if (__builtin_cpu_supports("popcnt")) return detail::engine_popcnt();
 #endif
   return nullptr;
 }
 
 }  // namespace
 
-std::vector<SimResult> run_lane_simulations(
-    const SimConfig& config, const std::vector<std::uint64_t>& lane_seeds) {
-  return run_lane_simulations(config, lane_seeds, nullptr);
+SimResult run_simulation(const SimConfig& config) {
+  return run_simulation(config, nullptr);
 }
 
-std::vector<SimResult> run_lane_simulations(
-    const SimConfig& config, const std::vector<std::uint64_t>& lane_seeds,
-    obs::SimObserver* observer) {
+SimResult run_simulation(const SimConfig& config, obs::SimObserver* observer) {
   static obs::Counter& laned_passes =
       obs::Registry::global().counter("sim.lane.laned_passes");
   static obs::Counter& laned_lanes =
@@ -186,8 +181,8 @@ std::vector<SimResult> run_lane_simulations(
   static obs::Counter& fallback_lanes =
       obs::Registry::global().counter("sim.lane.fallback_lanes");
   // One counter per fallback reason, created eagerly so every snapshot
-  // renders the full reason vector (zeros included) and the bench smoke
-  // can grep for the fields unconditionally. Indexed by the enum value.
+  // renders the full reason vector (zeros included) and the CI smoke can
+  // grep for the fields unconditionally. Indexed by the enum value.
   static const std::array<obs::Counter*, 11> fallback_reasons = [] {
     std::array<obs::Counter*, 11> counters{};
     for (const LaneFallbackReason reason :
@@ -207,38 +202,29 @@ std::vector<SimResult> run_lane_simulations(
     return counters;
   }();
 
-  std::vector<SimResult> results;
   LaneFallbackReason reason = lane_sim_fallback_reason(config);
   if (reason == LaneFallbackReason::kNone && observer != nullptr) {
     reason = LaneFallbackReason::kObserver;
   }
   if (reason != LaneFallbackReason::kNone) {
-    // Per-lane reference fallback behind the same interface: identical
-    // results (and identical exceptions) at reference speed. Observed
-    // batches take this path too, with the observer on lane 0 only.
-    fallback_lanes.add(lane_seeds.size());
-    fallback_reasons[static_cast<std::size_t>(reason)]->add(
-        lane_seeds.size());
-    results.reserve(lane_seeds.size());
-    for (const std::uint64_t seed : lane_seeds) {
-      SimConfig lane = config;
-      lane.seed = seed;
-      results.push_back(run_reference_simulation(
-          lane, results.empty() ? observer : nullptr));
-    }
-    return results;
+    // Reference fallback behind the same call: identical results (and
+    // identical exceptions) at reference speed. Observed runs take this
+    // path too.
+    fallback_lanes.increment();
+    fallback_reasons[static_cast<std::size_t>(reason)]->increment();
+    return run_reference_simulation(config, observer);
   }
-  static const detail::LanePassFn pass =
-      popcnt_pass() != nullptr ? popcnt_pass() : detail::lane_pass_portable();
-  results.resize(lane_seeds.size());
-  pass(config, lane_seeds.data(), lane_seeds.size(), results.data());
+  static const detail::EngineFn engine = popcnt_engine() != nullptr
+                                             ? popcnt_engine()
+                                             : detail::engine_portable();
+  const SimResult result = engine(config);
   laned_passes.increment();
-  laned_lanes.add(lane_seeds.size());
-  return results;
+  laned_lanes.increment();
+  return result;
 }
 
 std::string_view lane_sim_kernel_name() noexcept {
-  return popcnt_pass() != nullptr ? "popcnt" : "portable";
+  return popcnt_engine() != nullptr ? "popcnt" : "portable";
 }
 
 }  // namespace sfab

@@ -1,9 +1,9 @@
-// POPCNT lane-sim pass: the shared engine body compiled in the one TU that
+// POPCNT packet engine: the shared engine body compiled in the one TU that
 // gets the per-TU -mpopcnt flag (see CMakeLists.txt), so the two wire-flip
 // popcounts per streamed word lower to single POPCNT instructions instead
 // of the baseline bit-hack expansion. When the toolchain or target can't
 // build POPCNT the guard below reduces this TU to a stub returning nullptr
-// and run_lane_simulations() stays on the portable kernel. The caller has
+// and run_simulation() stays on the portable kernel. The caller has
 // already verified the CPU supports POPCNT at runtime before this code can
 // execute.
 //
@@ -19,7 +19,7 @@
 
 namespace sfab::detail {
 
-LanePassFn lane_pass_popcnt() noexcept { return &lane_pass; }
+EngineFn engine_popcnt() noexcept { return &simulate; }
 
 }  // namespace sfab::detail
 
@@ -27,7 +27,7 @@ LanePassFn lane_pass_popcnt() noexcept { return &lane_pass; }
 
 namespace sfab::detail {
 
-LanePassFn lane_pass_popcnt() noexcept { return nullptr; }
+EngineFn engine_popcnt() noexcept { return nullptr; }
 
 }  // namespace sfab::detail
 

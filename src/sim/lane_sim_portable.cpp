@@ -1,4 +1,4 @@
-// Baseline-ISA lane-sim pass: always available, and the only kernel on
+// Baseline-ISA packet engine: always available, and the only kernel on
 // non-x86 hosts. The engine body is shared with the POPCNT TU
 // (lane_sim_engine.ipp); this TU compiles it under the library's default
 // flags only.
@@ -7,6 +7,6 @@
 
 namespace sfab::detail {
 
-LanePassFn lane_pass_portable() noexcept { return &lane_pass; }
+EngineFn engine_portable() noexcept { return &simulate; }
 
 }  // namespace sfab::detail

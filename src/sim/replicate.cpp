@@ -45,26 +45,16 @@ Statistic summarize(const std::vector<double>& samples) {
   return s;
 }
 
-ReplicatedResult replicate(SimConfig config, unsigned replications,
-                           ReplicateEngine engine) {
+ReplicatedResult replicate(SimConfig config, unsigned replications) {
   if (replications < 1) {
     throw std::invalid_argument("replicate: need >= 1 replication");
   }
-  std::vector<std::uint64_t> seeds(replications);
-  for (unsigned k = 0; k < replications; ++k) {
-    seeds[k] = derive_stream_seed(config.seed, k);
-  }
-
+  const std::uint64_t base_seed = config.seed;
   std::vector<SimResult> runs;
-  if (engine == ReplicateEngine::kLaned) {
-    runs = run_lane_simulations(config, seeds);
-  } else {
-    runs.reserve(replications);
-    for (const std::uint64_t seed : seeds) {
-      SimConfig reference = config;
-      reference.seed = seed;
-      runs.push_back(run_reference_simulation(reference));
-    }
+  runs.reserve(replications);
+  for (unsigned k = 0; k < replications; ++k) {
+    config.seed = derive_stream_seed(base_seed, k);
+    runs.push_back(run_simulation(config));
   }
 
   ReplicatedResult result;

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/lane_sim.hpp"
 #include "sim/simulation.hpp"
 
 namespace sfab {
@@ -52,15 +51,9 @@ struct ReplicatedResult {
 
 /// Runs `config` under `replications` decorrelated seeds —
 /// derive_stream_seed(config.seed, k) for replicate k, the same derivation
-/// SweepSpec uses — and summarizes. replications must be >= 1.
-///
-/// The default engine runs the replicates as lanes of the lane engine
-/// (sim/lane_sim.hpp); configurations it does not cover fall back to
-/// per-replicate reference runs automatically. Either engine choice
-/// yields bit-identical results — kScalar runs run_reference_simulation
-/// per seed, the oracle.
-[[nodiscard]] ReplicatedResult replicate(
-    SimConfig config, unsigned replications,
-    ReplicateEngine engine = ReplicateEngine::kLaned);
+/// SweepSpec uses — one run_simulation call per seed, and summarizes.
+/// replications must be >= 1.
+[[nodiscard]] ReplicatedResult replicate(SimConfig config,
+                                         unsigned replications);
 
 }  // namespace sfab

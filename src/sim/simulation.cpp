@@ -6,7 +6,6 @@
 #include "obs/probe.hpp"
 #include "obs/registry.hpp"
 #include "router/voq_router.hpp"
-#include "sim/lane_sim.hpp"
 
 namespace sfab {
 
@@ -186,14 +185,6 @@ SimResult measure(AnyRouter& router, const SimConfig& config,
 }
 
 }  // namespace
-
-SimResult run_simulation(const SimConfig& config) {
-  return run_simulation(config, nullptr);
-}
-
-SimResult run_simulation(const SimConfig& config, obs::SimObserver* observer) {
-  return run_lane_simulations(config, {config.seed}, observer)[0];
-}
 
 SimResult run_reference_simulation(const SimConfig& config,
                                    obs::SimObserver* observer) {

@@ -4,9 +4,10 @@
 // window (energy and counters then reset so measurements capture steady
 // state), measures for the configured window, and reports throughput,
 // power split by component, energy per bit and latency. run_simulation
-// takes the lane engine (sim/lane_sim.hpp); run_reference_simulation
-// builds the traffic generator, router and fabric objects and steps them,
-// and is what the lane engine is pinned against.
+// runs the packet engine (sim/lane_sim.hpp), one run per call;
+// run_reference_simulation builds the traffic generator, router and
+// fabric objects and steps them, and is what the packet engine is pinned
+// against.
 #pragma once
 
 #include <cstdint>
@@ -116,11 +117,12 @@ namespace obs {
 class SimObserver;
 }
 
-/// Runs one simulation to completion and returns its measurements:
-/// run_lane_simulations(config, {config.seed})[0] (sim/lane_sim.hpp), so
-/// every supported config takes the lane engine and the rest fall back to
-/// run_reference_simulation. Side-effect-free: concurrent calls with
-/// independent configs are safe, which is what exp/SweepRunner exploits.
+/// Runs one simulation under config.seed to completion and returns its
+/// measurements. Every supported config takes the packet engine
+/// (sim/lane_sim.hpp; defined in lane_sim.cpp) and the rest fall back to
+/// run_reference_simulation; the sim.lane.* counters count each run.
+/// Side-effect-free: concurrent calls with independent configs are safe,
+/// which is what exp/SweepRunner exploits.
 [[nodiscard]] SimResult run_simulation(const SimConfig& config);
 
 /// Observed variant: `observer` (nullable) receives a CycleSample every
@@ -133,9 +135,9 @@ class SimObserver;
                                        obs::SimObserver* observer);
 
 /// The reference engine: one Router or VoqRouter over a SwitchFabric,
-/// stepped cycle by cycle. It runs what the lane engine does not cover
+/// stepped cycle by cycle. It runs what the packet engine does not cover
 /// (mesh, > 64 ports, observed runs, configs the constructors reject)
-/// and is the oracle the lane engine is pinned against bit for bit.
+/// and is the oracle the packet engine is pinned against bit for bit.
 [[nodiscard]] SimResult run_reference_simulation(
     const SimConfig& config, obs::SimObserver* observer = nullptr);
 

@@ -1,7 +1,7 @@
 // Scalar-equivalence harness for the 64-lane bit-sliced gate-level engine.
 //
 // The contract under test (gatelevel/bitsliced.hpp): lane k of a
-// bit-sliced run driven with LaneRng64 stream k behaves *bit-for-bit*
+// bit-sliced run driven with LaneRngBlock stream k behaves *bit-for-bit*
 // like the retained scalar reference engine driven with the same bit
 // stream (BitRng over the same per-lane seed) — same net values every
 // cycle, same per-lane toggle counts, and the same per-lane energy down
@@ -254,14 +254,14 @@ TEST(Bitsliced, AggregateEnergyTracksLaneSum) {
   const MaskDrive drive = h.drive_schedule(0b11u);
   BitslicedNetlist sliced(h.netlist);
   sliced.set_lane_accounting(true);
-  LaneRng64 rng{5};
+  LaneRngBlock rng{5, 1};
   std::vector<std::uint64_t> words(h.netlist.inputs().size(), 0);
   for (unsigned c = 0; c < 64; ++c) {
     std::fill(words.begin(), words.end(), 0);
     for (const auto& [pin, active] : drive.forced) {
       words[pin] = active ? ~std::uint64_t{0} : 0;
     }
-    for (const std::size_t pin : drive.random) words[pin] = rng.next_word();
+    for (const std::size_t pin : drive.random) rng.next_block(&words[pin]);
     sliced.step(words);
   }
   double lane_sum = 0.0;

@@ -4,11 +4,13 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
 #include "common/bitops.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
@@ -132,47 +134,6 @@ TEST(BitRng, LsbFirstExpansionOfU64Draws) {
   }
 }
 
-TEST(LaneRng64, LaneKIsStreamK) {
-  // The stream-independence contract the bit-sliced equivalence harness
-  // rests on: bit k of the word sequence is exactly the bit-serial stream
-  // of an Rng seeded with derive_stream_seed(seed, k).
-  constexpr std::uint64_t kSeed = 0xFEEDull;
-  constexpr unsigned kWords = 200;  // crosses a refill boundary (64 words)
-  LaneRng64 lanes{kSeed};
-  std::array<std::uint64_t, kWords> words{};
-  for (auto& w : words) w = lanes.next_word();
-
-  for (const unsigned lane : {0u, 1u, 31u, 63u}) {
-    BitRng bits{Rng{derive_stream_seed(kSeed, lane)}};
-    for (unsigned w = 0; w < kWords; ++w) {
-      ASSERT_EQ(((words[w] >> lane) & 1u) != 0, bits.next_bit())
-          << "lane " << lane << " word " << w;
-    }
-  }
-}
-
-TEST(LaneRng64, LanesAreDistinctAndBalanced) {
-  LaneRng64 lanes{123};
-  std::array<std::uint64_t, 256> words{};
-  std::array<unsigned, 64> ones{};
-  for (auto& w : words) {
-    w = lanes.next_word();
-    for (unsigned lane = 0; lane < 64; ++lane) ones[lane] += (w >> lane) & 1u;
-  }
-  // Every lane is a fair coin (256 flips: expect ~128, allow +/- 60).
-  for (unsigned lane = 0; lane < 64; ++lane) {
-    EXPECT_GT(ones[lane], 68u) << "lane " << lane;
-    EXPECT_LT(ones[lane], 188u) << "lane " << lane;
-  }
-  // No two lanes emit the same 256-bit column.
-  std::set<std::vector<bool>> columns;
-  for (unsigned lane = 0; lane < 64; ++lane) {
-    std::vector<bool> column;
-    for (const std::uint64_t w : words) column.push_back((w >> lane) & 1u);
-    EXPECT_TRUE(columns.insert(column).second) << "duplicate lane " << lane;
-  }
-}
-
 TEST(LaneRngBlock, LaneKIsGlobalStreamKAtEveryWidth) {
   // The block-width invariance contract the multi-word bit-sliced engine
   // rests on: bit b of word w is lane (64·w + b), and that lane's bit
@@ -234,16 +195,6 @@ TEST(LaneRngBlock, FirstLaneOffsetsTheGlobalLaneIndex) {
   }
 }
 
-TEST(LaneRngBlock, Width1MatchesLaneRng64) {
-  LaneRngBlock block{42, 1};
-  LaneRng64 legacy{42};
-  for (unsigned t = 0; t < 200; ++t) {
-    std::uint64_t word = 0;
-    block.next_block(&word);
-    ASSERT_EQ(word, legacy.next_word()) << "word " << t;
-  }
-}
-
 TEST(LaneRngBlock, LanesAreDistinctAndBalancedAcrossWords) {
   // Cross-lane independence at the widest block: every one of the 512
   // lanes is a fair coin and no two lanes emit the same 192-bit column.
@@ -274,101 +225,33 @@ TEST(LaneRngBlock, RejectsZeroWords) {
   EXPECT_THROW((void)LaneRngBlock(1, 0), std::invalid_argument);
 }
 
-TEST(LaneRngBlock, BernoulliWordMatchesScalarLaneForLane) {
-  // next_bernoulli_word's contract: bit b of word w is exactly the
-  // next_bernoulli_threshold draw of an Rng seeded with
-  // derive_stream_seed(seed, 64·w + b), one raw u64 per lane per call —
-  // the packed arrival draw of the packet-lane engine, exchangeable
-  // draw-for-draw with a scalar TrafficGenerator.
+TEST(NextBernoulliWord, MatchesScalarGeneratorForGenerator) {
+  // next_bernoulli_word's contract: bit j is exactly generator j's
+  // next_bernoulli_threshold draw, one raw u64 per listed generator per
+  // call, and every bit at or above `count` is zero.
   constexpr std::uint64_t kSeed = 0xBE12u;
   constexpr double kRate = 0.23;
-  constexpr unsigned kWords = 3, kDraws = 120;
+  constexpr unsigned kDraws = 120;
   const std::uint64_t threshold = Rng::bernoulli_threshold(kRate);
-  LaneRngBlock block{kSeed, kWords};
-  std::vector<std::uint64_t> out(kWords);
-  std::vector<Rng> scalar;
-  for (unsigned lane = 0; lane < kWords * 64; ++lane) {
-    scalar.emplace_back(derive_stream_seed(kSeed, lane));
-  }
-  for (unsigned t = 0; t < kDraws; ++t) {
-    block.next_bernoulli_word(kRate, out.data());
-    for (unsigned lane = 0; lane < kWords * 64; ++lane) {
-      ASSERT_EQ(((out[lane / 64] >> (lane % 64)) & 1u) != 0,
-                scalar[lane].next_bernoulli_threshold(threshold))
-          << "draw " << t << " lane " << lane;
+  for (const unsigned count : {1u, 7u, 8u, 63u, 64u}) {
+    std::vector<Rng> packed, scalar;
+    for (unsigned j = 0; j < count; ++j) {
+      packed.emplace_back(derive_stream_seed(kSeed, j));
+      scalar.emplace_back(derive_stream_seed(kSeed, j));
+    }
+    for (unsigned t = 0; t < kDraws; ++t) {
+      const std::uint64_t word =
+          next_bernoulli_word(packed.data(), count, threshold);
+      for (unsigned j = 0; j < count; ++j) {
+        ASSERT_EQ(((word >> j) & 1u) != 0,
+                  scalar[j].next_bernoulli_threshold(threshold))
+            << "count " << count << " draw " << t << " generator " << j;
+      }
+      if (count < 64) {
+        ASSERT_EQ(word >> count, 0u) << "count " << count << " draw " << t;
+      }
     }
   }
-}
-
-TEST(LaneRngBlock, BernoulliWordInvariantAcrossWidthsAndSplits) {
-  // A lane's Bernoulli stream is a pure function of its global lane index
-  // and the call sequence: the same lane carried by a narrow block, a wide
-  // block, and an offset (first_lane) block emits identical bits.
-  constexpr std::uint64_t kSeed = 0x5EED5;
-  constexpr double kRate = 0.61;
-  LaneRngBlock narrow{kSeed, 1};      // lanes 0..63
-  LaneRngBlock wide{kSeed, 4};        // lanes 0..255
-  LaneRngBlock tail{kSeed, 2, 128};   // lanes 128..255
-  std::vector<std::uint64_t> n(1), w(4), t(2);
-  for (unsigned step = 0; step < 100; ++step) {
-    narrow.next_bernoulli_word(kRate, n.data());
-    wide.next_bernoulli_word(kRate, w.data());
-    tail.next_bernoulli_word(kRate, t.data());
-    ASSERT_EQ(n[0], w[0]) << "step " << step;
-    ASSERT_EQ(t[0], w[2]) << "step " << step;
-    ASSERT_EQ(t[1], w[3]) << "step " << step;
-  }
-}
-
-TEST(LaneRngBlock, BernoulliWordLanesAreIndependentAtTheRightRate) {
-  // Empirical check across 128 lanes: each lane's hit rate concentrates
-  // around p, no two lanes emit the same column, and pairwise agreement
-  // between adjacent lanes stays near the independence prediction
-  // p² + (1-p)².
-  constexpr double kRate = 0.3;
-  constexpr unsigned kDraws = 4'000, kWords = 2;
-  LaneRngBlock block{777, kWords};
-  std::vector<std::uint64_t> history(kDraws * kWords);
-  for (unsigned d = 0; d < kDraws; ++d) {
-    block.next_bernoulli_word(kRate, history.data() + std::size_t{d} * kWords);
-  }
-  const auto bit_at = [&](unsigned lane, unsigned d) {
-    return ((history[std::size_t{d} * kWords + lane / 64] >> (lane % 64)) &
-            1u) != 0;
-  };
-  std::set<std::vector<bool>> columns;
-  for (unsigned lane = 0; lane < kWords * 64; ++lane) {
-    unsigned ones = 0;
-    std::vector<bool> column;
-    for (unsigned d = 0; d < kDraws; ++d) {
-      const bool bit = bit_at(lane, d);
-      ones += bit;
-      column.push_back(bit);
-    }
-    // Binomial(4000, 0.3): sd ≈ 29; allow ±6 sd.
-    EXPECT_NEAR(static_cast<double>(ones), kRate * kDraws, 6 * 29.0)
-        << "lane " << lane;
-    EXPECT_TRUE(columns.insert(column).second) << "duplicate lane " << lane;
-  }
-  for (unsigned lane = 0; lane + 1 < kWords * 64; ++lane) {
-    unsigned agree = 0;
-    for (unsigned d = 0; d < kDraws; ++d) {
-      agree += bit_at(lane, d) == bit_at(lane + 1, d);
-    }
-    // Independent lanes agree with probability p² + (1-p)² = 0.58;
-    // sd ≈ 31, allow ±6 sd.
-    EXPECT_NEAR(static_cast<double>(agree), 0.58 * kDraws, 6 * 31.0)
-        << "lanes " << lane << "," << lane + 1;
-  }
-}
-
-TEST(LaneRngBlock, BernoulliEdgeRatesSaturate) {
-  LaneRngBlock block{5, 1};
-  std::uint64_t word = 0;
-  block.next_bernoulli_word(0.0, &word);
-  EXPECT_EQ(word, 0u);
-  block.next_bernoulli_word(1.0, &word);
-  EXPECT_EQ(word, ~std::uint64_t{0});
 }
 
 TEST(SplitMix64, KnownSequenceIsStable) {
@@ -377,6 +260,32 @@ TEST(SplitMix64, KnownSequenceIsStable) {
   std::uint64_t state2 = 0;
   EXPECT_EQ(first, splitmix64_next(state2));
   EXPECT_NE(splitmix64_next(state), first);
+}
+
+// --- parse_number --------------------------------------------------------------
+
+TEST(ParseNumber, RejectsAnythingButAWholeDecimalThatFits) {
+  for (const char* text : {"-1", "+3", " 5", "5 ", "0x10", "", "12x"}) {
+    EXPECT_FALSE(parse_number<unsigned>(text).has_value())
+        << "'" << text << "'";
+    EXPECT_FALSE(parse_number<std::uint64_t>(text).has_value())
+        << "'" << text << "'";
+  }
+  EXPECT_FALSE(parse_number<unsigned>("4294967296").has_value());
+  EXPECT_FALSE(parse_number<unsigned>("4294967298").has_value());
+  EXPECT_FALSE(
+      parse_number<std::uint64_t>("18446744073709551616").has_value());
+}
+
+TEST(ParseNumber, AcceptsWholeDecimalsUpToEachTypesMaximum) {
+  EXPECT_EQ(parse_number<unsigned>("0"), 0u);
+  EXPECT_EQ(parse_number<unsigned>("42"), 42u);
+  EXPECT_EQ(parse_number<std::uint64_t>("0"), 0u);
+  EXPECT_EQ(parse_number<std::uint64_t>("42"), 42u);
+  EXPECT_EQ(parse_number<unsigned>("4294967295"),
+            std::numeric_limits<unsigned>::max());
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
 }
 
 // --- bitops --------------------------------------------------------------------

@@ -163,15 +163,18 @@ TEST(SweepRunner, ThrowingOnRecordCallbackAbortsTheSweep) {
 // --- migrated sweep_offered_load ---------------------------------------------
 
 TEST(SweepRunner, LoneUnitsTakeTheLaneEngineAndScalarTheReference) {
-  // A lone supported run is a 1-lane pass, a lone mesh run an arch
-  // fallback, and kScalar bypasses the lane engine entirely — with
-  // bit-identical records either way.
+  // Every supported record is one packet-engine run — a lone run one, a
+  // 3-replicate grid point three — a lone mesh run an arch fallback, and
+  // kScalar bypasses the packet engine entirely, with bit-identical
+  // records either way.
   obs::Counter& passes =
       obs::Registry::global().counter("sim.lane.laned_passes");
   obs::Counter& arch_fallbacks =
       obs::Registry::global().counter("sim.lane.fallback.arch");
   SweepSpec lone;
   lone.base = quick_base();
+  SweepSpec replicated = lone;
+  replicated.with_replicates(3);
   SweepSpec mesh = lone;
   mesh.base.arch = Architecture::kMesh;
 
@@ -180,15 +183,18 @@ TEST(SweepRunner, LoneUnitsTakeTheLaneEngineAndScalarTheReference) {
   const ResultSet laned = SweepRunner(1).run(lone);
   EXPECT_EQ(passes.value(), passes_before + 1);
   EXPECT_EQ(arch_fallbacks.value(), arch_before);
+  const ResultSet laned_replicated = SweepRunner(1).run(replicated);
+  EXPECT_EQ(passes.value(), passes_before + 4);
   const ResultSet laned_mesh = SweepRunner(1).run(mesh);
-  EXPECT_EQ(passes.value(), passes_before + 1);
+  EXPECT_EQ(passes.value(), passes_before + 4);
   EXPECT_EQ(arch_fallbacks.value(), arch_before + 1);
 
   SweepRunner reference(1);
   reference.with_engine(ReplicateEngine::kScalar);
   expect_bit_identical(reference.run(lone), laned);
+  expect_bit_identical(reference.run(replicated), laned_replicated);
   expect_bit_identical(reference.run(mesh), laned_mesh);
-  EXPECT_EQ(passes.value(), passes_before + 1);
+  EXPECT_EQ(passes.value(), passes_before + 4);
   EXPECT_EQ(arch_fallbacks.value(), arch_before + 1);
 }
 

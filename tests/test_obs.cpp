@@ -1,6 +1,6 @@
 // Tests for the observability layer itself: registry exactness under
-// concurrency, histogram bucketing, leveled logging, and the phase
-// profiler's aggregates and trace export. Bit-identity of *observed
+// concurrency, histogram bucketing, leveled logging, the phase
+// profiler's aggregates and trace export, and the host provenance JSON. Bit-identity of *observed
 // simulations* is covered separately by test_obs_identity.cpp.
 #include <gtest/gtest.h>
 
@@ -10,9 +10,11 @@
 #include <thread>
 #include <vector>
 
+#include "obs/host.hpp"
 #include "obs/log.hpp"
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
+#include "sim/lane_sim.hpp"
 
 namespace sfab::obs {
 namespace {
@@ -257,6 +259,26 @@ TEST(Profiler, StatsJsonCarriesPerPhaseTotals) {
   EXPECT_NE(text.find("\"calls\""), std::string::npos);
   EXPECT_NE(text.find("\"total_ns\""), std::string::npos);
   EXPECT_NE(text.find("\"mean_ns\""), std::string::npos);
+}
+
+TEST(HostInfo, JsonNamesTheMachineAndTheDispatchedKernels) {
+  // Benchmark provenance (perfbench embeds this object in every result):
+  // one JSON object naming the CPU, the core count and both kernels.
+  std::ostringstream out;
+  write_host_json(out);
+  const std::string json = out.str();
+  ASSERT_FALSE(json.empty());
+  EXPECT_EQ(json.front(), '{');
+  EXPECT_EQ(json.back(), '}');
+  for (const char* key : {"\"cpu_model\": \"", "\"logical_cores\": ",
+                          "\"gate_lane_kernel\": \"",
+                          "\"packet_lane_kernel\": \""}) {
+    EXPECT_NE(json.find(key), std::string::npos) << key;
+  }
+  EXPECT_NE(json.find("\"packet_lane_kernel\": \"" +
+                      std::string(lane_sim_kernel_name()) + "\""),
+            std::string::npos)
+      << json;
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // the unobserved run — and both must still match the committed
 // test_bit_identity goldens. Observed runs take the reference engine, so
 // each observed result is checked against the unobserved reference run
-// and the unobserved lane-engine run. Every comparison is exact
+// and the unobserved packet-engine run. Every comparison is exact
 // (EXPECT_EQ on doubles, deliberately): sampling reads counters the
 // simulation maintains anyway, so a single differing bit means an
 // instrument touched an RNG stream or reordered an FP accumulation.
@@ -11,13 +11,10 @@
 
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
-#include "common/rng.hpp"
 #include "obs/probe.hpp"
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
-#include "sim/lane_sim.hpp"
 #include "sim/simulation.hpp"
 
 namespace sfab {
@@ -81,7 +78,7 @@ TEST(ObsIdentity, ProbedRunsMatchPlainRunsAtEveryStride) {
     const SimConfig config = config_named(name);
     const SimResult plain = run_reference_simulation(config);
     expect_identical(run_simulation(config), plain,
-                     std::string(name) + " lane engine");
+                     std::string(name) + " packet engine");
     for (const std::uint64_t stride : {1ull, 7ull, 64ull}) {
       obs::ProbeRecorder recorder(stride);
       const SimResult observed = run_simulation(config, &recorder);
@@ -142,28 +139,6 @@ TEST(ObsIdentity, ProfiledUnobservedRunIsBitIdentical) {
   expect_identical(profiled, plain, "profiled crossbar_voq_hot");
   expect_identical(profiled_reference, plain,
                    "profiled reference crossbar_voq_hot");
-}
-
-TEST(ObsIdentity, ObservedLaneBatchMatchesLanedBatch) {
-  SimConfig config = config_named("crossbar_voq_hot");
-  config.measure_cycles = 2'000;
-  std::vector<std::uint64_t> seeds(8);
-  for (unsigned k = 0; k < seeds.size(); ++k) {
-    seeds[k] = derive_stream_seed(config.seed, k);
-  }
-
-  const std::vector<SimResult> laned = run_lane_simulations(config, seeds);
-  obs::ProbeRecorder recorder(16);
-  const std::vector<SimResult> observed =
-      run_lane_simulations(config, seeds, &recorder);
-
-  ASSERT_EQ(observed.size(), laned.size());
-  for (std::size_t k = 0; k < laned.size(); ++k) {
-    expect_identical(observed[k], laned[k],
-                     "lane " + std::to_string(k));
-  }
-  // The observer rode along on lane 0 only, but it did ride.
-  EXPECT_GT(recorder.samples(), 0u);
 }
 
 }  // namespace

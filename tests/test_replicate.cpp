@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "obs/registry.hpp"
@@ -91,10 +92,65 @@ TEST(Replicate, ArchitecturalGapsAreStatisticallyReal) {
   EXPECT_TRUE(crossbar.power_w.distinguishable_from(fc.power_w));
 }
 
-TEST(Replicate, LanedAndScalarEnginesAgreeBitForBit) {
-  // The default (laned) engine must reproduce the scalar reference run
-  // for run: same seeds, same SimResults, same summary statistics. This is
-  // the equivalence CI pins under ASan+UBSan.
+TEST(Replicate, SupportedGridNeverFallsBack) {
+  // Every (arch, scheme) cell of the sweep grid except mesh runs on the
+  // packet engine: runs over the supported grid, up to its 64-port edge,
+  // must never take the reference fallback. Pinned through the fallback
+  // counters so a support regression (or a footprint mis-estimate) fails
+  // here, not silently in a 60x-slower sweep.
+  obs::Counter& fallback =
+      obs::Registry::global().counter("sim.lane.fallback_lanes");
+  obs::Counter& footprint =
+      obs::Registry::global().counter("sim.lane.fallback.footprint");
+  obs::Counter& engine_runs =
+      obs::Registry::global().counter("sim.lane.laned_lanes");
+  const std::uint64_t fallback_before = fallback.value();
+  const std::uint64_t footprint_before = footprint.value();
+  const std::uint64_t engine_before = engine_runs.value();
+  constexpr Architecture kArchs[] = {
+      Architecture::kCrossbar, Architecture::kFullyConnected,
+      Architecture::kBatcherBanyan, Architecture::kBanyan};
+  constexpr RouterScheme kSchemes[] = {RouterScheme::kVoq,
+                                       RouterScheme::kFifo};
+  constexpr unsigned kSeeds = 3;
+  std::uint64_t runs = 0;
+  for (const unsigned ports : {8u, 32u, 64u}) {
+    for (const Architecture arch : kArchs) {
+      for (const RouterScheme scheme : kSchemes) {
+        SimConfig c;
+        c.arch = arch;
+        c.scheme = scheme;
+        c.ports = ports;
+        c.offered_load = 0.5;
+        c.warmup_cycles = 50;
+        c.measure_cycles = 200;
+        c.seed = 5;
+        ASSERT_EQ(lane_sim_fallback_reason(c), LaneFallbackReason::kNone)
+            << to_string(arch) << "/" << to_string(scheme) << " at "
+            << ports << " ports would fall back: "
+            << to_string(lane_sim_fallback_reason(c));
+        ASSERT_TRUE(lane_sim_supported(c));
+        for (unsigned k = 0; k < kSeeds; ++k) {
+          SimConfig run = c;
+          run.seed = derive_stream_seed(c.seed, k);
+          EXPECT_EQ(run_simulation(run).ports, ports);
+          ++runs;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(fallback.value(), fallback_before)
+      << "a supported-grid run took the reference fallback";
+  EXPECT_EQ(footprint.value(), footprint_before);
+  EXPECT_EQ(engine_runs.value(), engine_before + runs);
+}
+
+TEST(Replicate, SeedsMatchSweepSpecDerivation) {
+  // replicate() and SweepSpec share one seed derivation
+  // (derive_stream_seed(base, k)), so a replicate batch and a
+  // replicates-axis sweep of the same base seed sample identical streams:
+  // replicate k is the reference run under that seed, field for field,
+  // and so are the summary statistics.
   SimConfig c;
   c.arch = Architecture::kCrossbar;
   c.scheme = RouterScheme::kVoq;
@@ -103,95 +159,43 @@ TEST(Replicate, LanedAndScalarEnginesAgreeBitForBit) {
   c.warmup_cycles = 200;
   c.measure_cycles = 2'000;
   c.seed = 99;
-  const ReplicatedResult laned = replicate(c, 6);
-  const ReplicatedResult scalar = replicate(c, 6, ReplicateEngine::kScalar);
-  ASSERT_EQ(laned.runs.size(), scalar.runs.size());
-  for (std::size_t k = 0; k < laned.runs.size(); ++k) {
-    EXPECT_EQ(laned.runs[k].delivered_packets,
-              scalar.runs[k].delivered_packets);
-    EXPECT_EQ(laned.runs[k].delivered_words, scalar.runs[k].delivered_words);
-    EXPECT_EQ(laned.runs[k].power_w, scalar.runs[k].power_w);
-    EXPECT_EQ(laned.runs[k].energy_per_bit_j, scalar.runs[k].energy_per_bit_j);
-    EXPECT_EQ(laned.runs[k].mean_packet_latency_cycles,
-              scalar.runs[k].mean_packet_latency_cycles);
-  }
-  EXPECT_EQ(laned.power_w.mean, scalar.power_w.mean);
-  EXPECT_EQ(laned.power_w.ci95_half, scalar.power_w.ci95_half);
-  EXPECT_EQ(laned.egress_throughput.mean, scalar.egress_throughput.mean);
-}
-
-TEST(Replicate, SupportedGridNeverFallsBack) {
-  // Every (arch, scheme) cell of the sweep grid except mesh is laned: a
-  // replicate batch over the supported grid must never take the per-lane
-  // scalar fallback. Pinned through the fallback counters so a support
-  // regression (or a footprint mis-estimate) fails here, not silently in
-  // a 60x-slower sweep.
-  obs::Counter& fallback =
-      obs::Registry::global().counter("sim.lane.fallback_lanes");
-  obs::Counter& laned =
-      obs::Registry::global().counter("sim.lane.laned_lanes");
-  const std::uint64_t fallback_before = fallback.value();
-  const std::uint64_t laned_before = laned.value();
-  constexpr Architecture kArchs[] = {
-      Architecture::kCrossbar, Architecture::kFullyConnected,
-      Architecture::kBatcherBanyan, Architecture::kBanyan};
-  constexpr RouterScheme kSchemes[] = {RouterScheme::kVoq,
-                                       RouterScheme::kFifo};
-  std::uint64_t batches = 0;
-  for (const Architecture arch : kArchs) {
-    for (const RouterScheme scheme : kSchemes) {
-      SimConfig c;
-      c.arch = arch;
-      c.scheme = scheme;
-      c.ports = 8;
-      c.offered_load = 0.5;
-      c.warmup_cycles = 50;
-      c.measure_cycles = 200;
-      c.seed = 5;
-      ASSERT_EQ(lane_sim_fallback_reason(c), LaneFallbackReason::kNone)
-          << to_string(arch) << "/" << to_string(scheme) << " would fall "
-          << "back: " << to_string(lane_sim_fallback_reason(c));
-      ASSERT_TRUE(lane_sim_supported(c));
-      std::vector<std::uint64_t> seeds(3);
-      for (unsigned k = 0; k < seeds.size(); ++k) {
-        seeds[k] = derive_stream_seed(c.seed, k);
-      }
-      ASSERT_EQ(run_lane_simulations(c, seeds).size(), seeds.size());
-      ++batches;
-    }
-  }
-  EXPECT_EQ(fallback.value(), fallback_before)
-      << "a supported-grid batch took the scalar fallback";
-  EXPECT_EQ(laned.value(), laned_before + batches * 3);
-}
-
-TEST(Replicate, SeedsMatchSweepSpecDerivation) {
-  // replicate() and SweepSpec share one seed derivation
-  // (derive_stream_seed(base, k)), so a replicate batch and a
-  // replicates-axis sweep of the same base seed sample identical streams.
-  SimConfig c;
-  c.arch = Architecture::kCrossbar;
-  c.scheme = RouterScheme::kVoq;
-  c.ports = 4;
-  c.offered_load = 0.5;
-  c.warmup_cycles = 100;
-  c.measure_cycles = 1'000;
-  c.seed = 31;
-  const ReplicatedResult batch = replicate(c, 3);
-  for (unsigned k = 0; k < 3; ++k) {
+  constexpr unsigned kReplicates = 6;
+  const ReplicatedResult batch = replicate(c, kReplicates);
+  ASSERT_EQ(batch.runs.size(), kReplicates);
+  std::vector<double> power;
+  for (unsigned k = 0; k < kReplicates; ++k) {
     SimConfig single = c;
     single.seed = derive_stream_seed(c.seed, k);
     const SimResult reference = run_reference_simulation(single);
-    EXPECT_EQ(batch.runs[k].power_w, reference.power_w);
-    EXPECT_EQ(batch.runs[k].delivered_packets, reference.delivered_packets);
+    const SimResult& run = batch.runs[k];
+    EXPECT_EQ(run.arch, reference.arch);
+    EXPECT_EQ(run.ports, reference.ports);
+    EXPECT_EQ(run.offered_load, reference.offered_load);
+    EXPECT_EQ(run.egress_throughput, reference.egress_throughput);
+    EXPECT_EQ(run.delivered_words, reference.delivered_words);
+    EXPECT_EQ(run.delivered_packets, reference.delivered_packets);
+    EXPECT_EQ(run.input_queue_drops, reference.input_queue_drops);
+    EXPECT_EQ(run.mean_packet_latency_cycles,
+              reference.mean_packet_latency_cycles);
+    EXPECT_EQ(run.power_w, reference.power_w);
+    EXPECT_EQ(run.switch_power_w, reference.switch_power_w);
+    EXPECT_EQ(run.buffer_power_w, reference.buffer_power_w);
+    EXPECT_EQ(run.wire_power_w, reference.wire_power_w);
+    EXPECT_EQ(run.energy_per_bit_j, reference.energy_per_bit_j);
+    EXPECT_EQ(run.words_buffered, reference.words_buffered);
+    EXPECT_EQ(run.sram_buffered_words, reference.sram_buffered_words);
+    EXPECT_EQ(run.stall_cycles, reference.stall_cycles);
+    EXPECT_EQ(run.measured_cycles, reference.measured_cycles);
+    power.push_back(reference.power_w);
   }
+  const Statistic reference_power = summarize(power);
+  EXPECT_EQ(batch.power_w.mean, reference_power.mean);
+  EXPECT_EQ(batch.power_w.ci95_half, reference_power.ci95_half);
 }
 
 TEST(Replicate, Validation) {
   SimConfig c;
   EXPECT_THROW((void)replicate(c, 0), std::invalid_argument);
-  EXPECT_THROW((void)replicate(c, 0, ReplicateEngine::kScalar),
-               std::invalid_argument);
 }
 
 }  // namespace
