@@ -13,9 +13,11 @@
 #include <cstdlib>
 #include <exception>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "power/lut_artifact.hpp"
 #include "power/technology.hpp"
 
@@ -26,22 +28,14 @@ void usage(std::ostream& out) {
          "  --out PATH      write the artifact here (default: stdout)\n"
          "  --cycles N      measured lane-cycles per mask (default 262144)\n"
          "  --warmup N      warm-up cycles per lane (default 128)\n"
-         "  --seed N        Monte-Carlo base seed (default 0x5FAB1D)\n"
+         "  --seed N        Monte-Carlo base seed (default 6269725)\n"
          "  --lanes N       lane population per mask, 1..512 (default 512)\n"
          "  --bits N        payload bits per port (default 32)\n"
-         "  --threads N     characterize() workers (default 0 = all cores)\n"
+         "  --threads N     workers over the ladder's tasks (default 0 = all "
+         "cores)\n"
          "  --max-mux N     top MUX port count, pow2 >= 4 (default 1024)\n"
          "  --presets A,B   technology presets (default: all)\n"
          "  --reduced       CI drift-gate ladder: --max-mux 64\n";
-}
-
-std::uint64_t parse_u64(const std::string& flag, const std::string& text) {
-  std::size_t used = 0;
-  const std::uint64_t value = std::stoull(text, &used, 0);
-  if (used != text.size()) {
-    throw std::invalid_argument(flag + ": bad number '" + text + "'");
-  }
-  return value;
 }
 
 std::vector<std::string> split_csv(const std::string& text) {
@@ -75,23 +69,25 @@ int main(int argc, char** argv) {
       if (arg == "--out") {
         out_path = next();
       } else if (arg == "--cycles") {
-        options.generator.cycles = parse_u64(arg, next());
+        options.generator.cycles =
+            sfab::parse_unsigned_flag<std::uint64_t>(arg, next());
       } else if (arg == "--warmup") {
         options.generator.warmup =
-            static_cast<unsigned>(parse_u64(arg, next()));
+            sfab::parse_unsigned_flag<unsigned>(arg, next());
       } else if (arg == "--seed") {
-        options.generator.seed = parse_u64(arg, next());
+        options.generator.seed =
+            sfab::parse_unsigned_flag<std::uint64_t>(arg, next());
       } else if (arg == "--lanes") {
         options.generator.lanes =
-            static_cast<unsigned>(parse_u64(arg, next()));
+            sfab::parse_unsigned_flag<unsigned>(arg, next());
       } else if (arg == "--bits") {
         options.generator.bits_per_port =
-            static_cast<unsigned>(parse_u64(arg, next()));
+            sfab::parse_unsigned_flag<unsigned>(arg, next());
       } else if (arg == "--threads") {
-        options.threads = static_cast<unsigned>(parse_u64(arg, next()));
+        options.threads = sfab::parse_unsigned_flag<unsigned>(arg, next());
       } else if (arg == "--max-mux") {
         options.max_mux_inputs =
-            static_cast<unsigned>(parse_u64(arg, next()));
+            sfab::parse_unsigned_flag<unsigned>(arg, next());
       } else if (arg == "--presets") {
         options.presets = split_csv(next());
         for (const std::string& name : options.presets) {

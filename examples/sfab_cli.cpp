@@ -123,19 +123,6 @@ std::vector<std::string> split_list(const std::string& text) {
   return items;
 }
 
-/// `text` as the unsigned T of `flag`. A sign, whitespace, a base prefix,
-/// trailing characters or a value T cannot hold is an error naming the
-/// flag — never a wrapped or truncated count.
-template <class T>
-T parse_unsigned_flag(const std::string& flag, const std::string& text) {
-  const std::optional<T> value = parse_number<T>(text);
-  if (!value) {
-    throw std::invalid_argument(flag + " expects an unsigned integer, got '" +
-                                text + "'");
-  }
-  return *value;
-}
-
 template <class T, class Parse>
 std::vector<T> parse_list(const std::string& text, Parse parse) {
   std::vector<T> values;

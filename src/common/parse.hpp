@@ -3,6 +3,8 @@
 
 #include <charconv>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <string_view>
 #include <system_error>
 
@@ -19,6 +21,21 @@ template <class T>
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
   if (ec != std::errc{} || ptr != end) return std::nullopt;
   return value;
+}
+
+/// `text` as the unsigned T of the command-line flag `flag`. A sign,
+/// whitespace, a base prefix, trailing characters or a value T cannot hold
+/// throws std::invalid_argument naming the flag — never a wrapped or
+/// truncated count.
+template <class T>
+[[nodiscard]] T parse_unsigned_flag(const std::string& flag,
+                                    const std::string& text) {
+  const std::optional<T> value = parse_number<T>(text);
+  if (!value) {
+    throw std::invalid_argument(flag + " expects an unsigned integer, got '" +
+                                text + "'");
+  }
+  return *value;
 }
 
 }  // namespace sfab

@@ -1,14 +1,12 @@
 #include "exp/runner.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <exception>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 
+#include "common/task_pool.hpp"
 #include "obs/profiler.hpp"
 
 namespace sfab {
@@ -92,56 +90,26 @@ ResultSet SweepRunner::run_range(const SweepSpec& spec, std::size_t begin,
     first = last;
   }
 
-  std::atomic<std::size_t> cursor{0};
-  std::atomic<bool> failed{false};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
   std::mutex callback_mutex;
-
-  static const obs::PhaseId unit_phase =
-      obs::Profiler::global().phase("exp.unit");
-  const auto worker = [&]() noexcept {
-    for (;;) {
-      const std::size_t n =
-          cursor.fetch_add(1, std::memory_order_relaxed);
-      if (n >= units.size() || failed.load(std::memory_order_relaxed)) {
-        return;
-      }
+  const obs::PhaseId unit_phase = obs::Profiler::global().phase("exp.unit");
+  run_task_pool(units.size(), threads_, [&](const auto& claim) {
+    for (std::size_t n = 0; claim(n);) {
       const auto [first, last] = units[n];
       const obs::ScopedPhase unit_timer(unit_phase);
-      try {
+      for (std::size_t m = first; m < last; ++m) {
+        RunRecord& record = records[pending[m]];
+        record.result = engine_ == ReplicateEngine::kScalar
+                            ? run_reference_simulation(record.config)
+                            : run_simulation(record.config);
+      }
+      if (on_record_) {
+        const std::lock_guard<std::mutex> lock(callback_mutex);
         for (std::size_t m = first; m < last; ++m) {
-          RunRecord& record = records[pending[m]];
-          record.result = engine_ == ReplicateEngine::kScalar
-                              ? run_reference_simulation(record.config)
-                              : run_simulation(record.config);
+          on_record_(records[pending[m]]);
         }
-        if (on_record_) {
-          const std::lock_guard<std::mutex> lock(callback_mutex);
-          for (std::size_t m = first; m < last; ++m) {
-            on_record_(records[pending[m]]);
-          }
-        }
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
       }
     }
-  };
-
-  const std::size_t pool =
-      std::min<std::size_t>(threads_, units.size());
-  if (pool <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(pool);
-    for (std::size_t t = 0; t < pool; ++t) threads.emplace_back(worker);
-    for (std::thread& thread : threads) thread.join();
-  }
-
-  if (first_error) std::rethrow_exception(first_error);
+  });
 
   if (cache_ != nullptr) {
     for (const std::size_t i : pending) {

@@ -1,13 +1,12 @@
 #include "gatelevel/power_sim.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 
+#include "common/task_pool.hpp"
 #include "gatelevel/bitsliced.hpp"
 
 namespace sfab::gatelevel {
@@ -327,33 +326,14 @@ std::vector<MaskEnergy> characterize(SwitchHarness& harness,
   make_measurer(harness, config);
 
   std::vector<MaskEnergy> results(masks.size());
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-
-  const auto worker = [&] {
-    try {
-      SwitchHarness local = harness;
-      const auto measurer = make_measurer(local, config);
-      while (!failed.load(std::memory_order_relaxed)) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= masks.size()) break;
-        results[i] = entry_for(local, masks[i],
-                               measurer->energy_per_cycle(drives[i]));
-      }
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mutex);
-      if (!first_error) first_error = std::current_exception();
-      failed.store(true, std::memory_order_relaxed);
+  run_task_pool(masks.size(), workers, [&](const auto& claim) {
+    SwitchHarness local = harness;
+    const auto measurer = make_measurer(local, config);
+    for (std::size_t i = 0; claim(i);) {
+      results[i] =
+          entry_for(local, masks[i], measurer->energy_per_cycle(drives[i]));
     }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned t = 0; t < workers; ++t) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+  });
   return results;
 }
 

@@ -1,14 +1,18 @@
 #include "power/lut_artifact.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
+#include "common/task_pool.hpp"
 #include "gatelevel/power_sim.hpp"
 #include "power/technology.hpp"
 
@@ -242,14 +246,14 @@ std::vector<double> read_double_array(const JsonValue& node,
 
 // --- ladder ------------------------------------------------------------------
 
+/// The generator's sample, characterized single-threaded (the default).
 gatelevel::CharacterizationConfig config_of(
-    const LutArtifact::Generator& generator, unsigned threads) {
+    const LutArtifact::Generator& generator) {
   gatelevel::CharacterizationConfig cfg;
   cfg.cycles = generator.cycles;
   cfg.warmup = generator.warmup;
   cfg.seed = generator.seed;
   cfg.lanes = generator.lanes;
-  cfg.threads = threads;
   return cfg;
 }
 
@@ -302,38 +306,62 @@ LutArtifact build_lut_artifact(const LutBuildOptions& options) {
   const std::vector<std::string>& names =
       options.presets.empty() ? TechnologyParams::preset_names()
                               : options.presets;
-  const gatelevel::CharacterizationConfig cfg =
-      config_of(options.generator, options.threads);
-  const unsigned bits = options.generator.bits_per_port;
-
+  std::vector<unsigned> rungs;
+  for (unsigned n = 4; n <= options.max_mux_inputs; n *= 2) {
+    rungs.push_back(n);
+  }
   for (const std::string& name : names) {
-    const TechnologyParams tech = TechnologyParams::preset(name);
     LutArtifact::PresetTables tables;
-    tables.energy_scale = tech.energy_scale_vs_reference();
-
-    {
-      gatelevel::SwitchHarness xp = gatelevel::build_crosspoint(bits);
-      xp.netlist.set_energy_scale(tables.energy_scale);
-      for (const gatelevel::MaskEnergy& m :
-           gatelevel::characterize(xp, gatelevel::all_masks(1), cfg)) {
-        tables.crosspoint.push_back(m.energy_per_bit_j);
-      }
-    }
-    tables.banyan2x2 = two_port_lut(gatelevel::build_banyan_switch(bits),
-                                    tables.energy_scale, cfg);
-    tables.sorter2x2 = two_port_lut(gatelevel::build_sorter_switch(bits),
-                                    tables.energy_scale, cfg);
-
-    for (unsigned n = 4; n <= options.max_mux_inputs; n *= 2) {
-      gatelevel::SwitchHarness mux = gatelevel::build_mux(n, bits);
-      mux.netlist.set_energy_scale(tables.energy_scale);
-      tables.mux_inputs.push_back(n);
-      tables.mux_per_bit_j.push_back(
-          gatelevel::characterize_all_active(mux, cfg).energy_per_bit_j);
-    }
-
+    tables.energy_scale =
+        TechnologyParams::preset(name).energy_scale_vs_reference();
+    tables.mux_inputs = rungs;
+    tables.mux_per_bit_j.assign(rungs.size(), 0.0);
     artifact.presets.emplace_back(name, std::move(tables));
   }
+
+  // One task per (preset, table) and per (preset, MUX rung), the largest
+  // rungs first so the longest tasks do not start last. Each task runs one
+  // single-threaded characterization and writes only its own slot, so the
+  // artifact is the same at any worker count.
+  const gatelevel::CharacterizationConfig cfg = config_of(options.generator);
+  const unsigned bits = options.generator.bits_per_port;
+  std::vector<std::function<void()>> tasks;
+  for (std::size_t rung = rungs.size(); rung-- > 0;) {
+    for (auto& preset : artifact.presets) {
+      LutArtifact::PresetTables* const t = &preset.second;
+      tasks.emplace_back([&, rung, t] {
+        gatelevel::SwitchHarness mux = gatelevel::build_mux(rungs[rung], bits);
+        mux.netlist.set_energy_scale(t->energy_scale);
+        t->mux_per_bit_j[rung] =
+            gatelevel::characterize_all_active(mux, cfg).energy_per_bit_j;
+      });
+    }
+  }
+  for (auto& preset : artifact.presets) {
+    LutArtifact::PresetTables* const t = &preset.second;
+    tasks.emplace_back([&, t] {
+      gatelevel::SwitchHarness xp = gatelevel::build_crosspoint(bits);
+      xp.netlist.set_energy_scale(t->energy_scale);
+      for (const gatelevel::MaskEnergy& m :
+           gatelevel::characterize(xp, gatelevel::all_masks(1), cfg)) {
+        t->crosspoint.push_back(m.energy_per_bit_j);
+      }
+    });
+    tasks.emplace_back([&, t] {
+      t->banyan2x2 = two_port_lut(gatelevel::build_banyan_switch(bits),
+                                  t->energy_scale, cfg);
+    });
+    tasks.emplace_back([&, t] {
+      t->sorter2x2 = two_port_lut(gatelevel::build_sorter_switch(bits),
+                                  t->energy_scale, cfg);
+    });
+  }
+  const unsigned workers =
+      options.threads != 0 ? options.threads
+                           : std::max(1u, std::thread::hardware_concurrency());
+  run_task_pool(tasks.size(), workers, [&](const auto& claim) {
+    for (std::size_t i = 0; claim(i);) tasks[i]();
+  });
   return artifact;
 }
 

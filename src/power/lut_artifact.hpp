@@ -76,7 +76,9 @@ struct LutBuildOptions {
   /// Top of the MUX port-count ladder (power of two >= 4). 1024 is the
   /// shipped artifact; CI's reduced ladder stops at 64.
   unsigned max_mux_inputs = 1024;
-  /// characterize() worker threads (0 = one per hardware thread).
+  /// Worker threads over the ladder's tasks, one per (preset, table) and
+  /// per (preset, MUX rung), each characterized single-threaded (0 = one
+  /// per hardware thread). The artifact is the same at any count.
   unsigned threads = 0;
 };
 

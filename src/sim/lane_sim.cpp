@@ -54,9 +54,16 @@ LaneFallbackReason lane_sim_fallback_reason(const SimConfig& c) noexcept {
     case Architecture::kBanyan:
       if (!is_pow2(c.ports)) return R::kPorts;
       break;
-    case Architecture::kMesh:
+    case Architecture::kMesh: {
+      // k x k routers for k in 2..8; the reference rejects any other
+      // square and throws on a non-square.
+      bool square = false;
+      for (unsigned k = 2; k <= 8; ++k) square = square || k * k == c.ports;
+      if (!square) return R::kPorts;
+      break;
+    }
     default:
-      return R::kArch;
+      return R::kArch;  // an Architecture value this build does not know
   }
   if (c.ports < 2 || c.ports > 64) return R::kPorts;
   if (c.packet_words < 1 || c.packet_words > (1u << 20)) {
@@ -72,7 +79,7 @@ LaneFallbackReason lane_sim_fallback_reason(const SimConfig& c) noexcept {
   // can wrap: ids advance at most `ports` per cycle. Scalar runs at these
   // horizons take hours, so real sweeps never hit this.
   if (c.arch == Architecture::kBatcherBanyan ||
-      c.arch == Architecture::kBanyan) {
+      c.arch == Architecture::kBanyan || c.arch == Architecture::kMesh) {
     const std::uint64_t horizon =
         std::uint64_t{c.warmup_cycles} + c.measure_cycles;
     if (horizon >= (std::uint64_t{1} << 30) ||
@@ -113,8 +120,8 @@ LaneFallbackReason lane_sim_fallback_reason(const SimConfig& c) noexcept {
   // the reference. The ingress front keeps capacity(+1) packet slots per
   // bank (a granted packet streams out of its slot until the tail leaves);
   // the fused engines add their energy LUTs + deferred event buffer, the
-  // staged fabrics their per-stage link/wire planes (and, for banyan, the
-  // node-FIFO ring planes).
+  // staged fabrics their per-stage link/wire planes (and, for banyan and
+  // mesh, the node-FIFO ring planes).
   const std::uint64_t banks = c.ports;
   const std::uint64_t slots = banks * (c.ingress_queue_packets + 1);
   std::uint64_t bytes = slots * c.packet_words * sizeof(Word) +
@@ -145,8 +152,18 @@ LaneFallbackReason lane_sim_fallback_reason(const SimConfig& c) noexcept {
                         8);
       break;
     }
-    case Architecture::kMesh:
-      break;  // unreachable: rejected above
+    case Architecture::kMesh: {
+      // Five input registers, wire polarities and FIFO rings per router,
+      // plus the route table and link masks.
+      if (c.buffer_words_per_switch > (1u << 20)) return R::kFootprint;
+      const std::uint64_t rings = std::uint64_t{c.ports} * 5;
+      bytes += rings * (detail::kStageFlitBytes + 4) +
+               std::uint64_t{c.ports} * (c.ports + 5) +
+               rings * (std::uint64_t{c.buffer_words_per_switch} *
+                            (detail::kStageFlitBytes + 1) +
+                        8);
+      break;
+    }
   }
   if (bytes > (std::uint64_t{1} << 29)) return R::kFootprint;
   return R::kNone;

@@ -11,17 +11,18 @@
 // bit: same draws in the same order, same floating-point accumulation
 // order per accumulator.
 //
-// Coverage: every (architecture, scheme) cell of the sweep grid except
-// mesh — crossbar and fully-connected through the fused single-hop
-// engine, Batcher-Banyan and banyan through the staged multi-hop engine,
+// Coverage: every (architecture, scheme) cell of the sweep grid —
+// crossbar and fully-connected through the fused single-hop engine,
+// Batcher-Banyan, banyan and mesh through the staged multi-hop engine,
 // each behind either the VOQ/iSLIP or the FIFO/HOL ingress front, for
-// every traffic pattern. Configurations outside that envelope (mesh,
-// > 64 ports, oversized state footprints, observed runs, configs the
-// reference constructors reject) run on run_reference_simulation behind
-// the same run_simulation call, so callers never branch on support;
-// lane_sim_fallback_reason() names why a config falls back and the
-// sim.lane.fallback.* counters tally each reason. (The lane_sim names
-// date from when one call ran several replicates as lanes.)
+// every traffic pattern. Configurations outside that envelope (> 64
+// ports, a non-square mesh, oversized state footprints, observed runs,
+// configs the reference constructors reject) run on
+// run_reference_simulation behind the same run_simulation call, so
+// callers never branch on support; lane_sim_fallback_reason() names why
+// a config falls back and the sim.lane.fallback.* counters tally each
+// reason. (The lane_sim names date from when one call ran several
+// replicates as lanes.)
 #pragma once
 
 #include <string_view>
@@ -44,9 +45,9 @@ enum class ReplicateEngine {
 /// lane_sim_fallback_reason().
 enum class LaneFallbackReason {
   kNone,         ///< runs on the packet engine
-  kArch,         ///< architecture not covered (mesh)
+  kArch,         ///< architecture not covered (none today)
   kScheme,       ///< router scheme not covered (none today)
-  kPorts,        ///< ports outside 2..64, or not a pow2 the fabric needs
+  kPorts,        ///< ports outside 2..64, or not the pow2 / square needed
   kPacketWords,  ///< packet_words outside 1..2^20
   kQueue,        ///< ingress_queue_packets outside 1..2^20
   kMeasure,      ///< measure_cycles == 0 (the reference engine throws)
@@ -66,8 +67,9 @@ enum class LaneFallbackReason {
     const SimConfig& config) noexcept;
 
 /// True when `config` runs on the packet engine — every (arch, scheme)
-/// cell of the sweep grid except mesh, 2..64 ports, and a state footprint
-/// the array layout can hold. False routes run_simulation() to the
+/// cell of the sweep grid, 2..64 ports (a power of two for the
+/// banyan-class fabrics, a square for mesh), and a state footprint the
+/// array layout can hold. False routes run_simulation() to the
 /// reference (results are identical either way; only wall-clock differs).
 /// Equivalent to lane_sim_fallback_reason() == kNone.
 [[nodiscard]] bool lane_sim_supported(const SimConfig& config) noexcept;

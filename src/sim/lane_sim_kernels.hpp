@@ -19,8 +19,8 @@
 
 namespace sfab::detail {
 
-/// Bytes per in-fabric word of the staged fabrics (both
-/// BatcherStages::Flit and BanyanStages::Flit); the footprint estimate in
+/// Bytes per in-fabric word of the staged fabrics (BatcherStages::Flit,
+/// BanyanStages::Flit and MeshStages::Flit); the footprint estimate in
 /// lane_sim_fallback_reason() charges link and FIFO planes at this size.
 inline constexpr std::size_t kStageFlitBytes = 16;
 

@@ -136,8 +136,9 @@ class SimObserver;
 
 /// The reference engine: one Router or VoqRouter over a SwitchFabric,
 /// stepped cycle by cycle. It runs what the packet engine does not cover
-/// (mesh, > 64 ports, observed runs, configs the constructors reject)
-/// and is the oracle the packet engine is pinned against bit for bit.
+/// (> 64 ports, a non-square mesh, observed runs, configs the
+/// constructors reject) and is the oracle the packet engine is pinned
+/// against bit for bit.
 [[nodiscard]] SimResult run_reference_simulation(
     const SimConfig& config, obs::SimObserver* observer = nullptr);
 

@@ -164,9 +164,9 @@ TEST(SweepRunner, ThrowingOnRecordCallbackAbortsTheSweep) {
 
 TEST(SweepRunner, LoneUnitsTakeTheLaneEngineAndScalarTheReference) {
   // Every supported record is one packet-engine run — a lone run one, a
-  // 3-replicate grid point three — a lone mesh run an arch fallback, and
-  // kScalar bypasses the packet engine entirely, with bit-identical
-  // records either way.
+  // 3-replicate grid point three, a lone mesh run one (mesh no longer
+  // falls back) — and kScalar bypasses the packet engine entirely, with
+  // bit-identical records either way.
   obs::Counter& passes =
       obs::Registry::global().counter("sim.lane.laned_passes");
   obs::Counter& arch_fallbacks =
@@ -186,16 +186,16 @@ TEST(SweepRunner, LoneUnitsTakeTheLaneEngineAndScalarTheReference) {
   const ResultSet laned_replicated = SweepRunner(1).run(replicated);
   EXPECT_EQ(passes.value(), passes_before + 4);
   const ResultSet laned_mesh = SweepRunner(1).run(mesh);
-  EXPECT_EQ(passes.value(), passes_before + 4);
-  EXPECT_EQ(arch_fallbacks.value(), arch_before + 1);
+  EXPECT_EQ(passes.value(), passes_before + 5);
+  EXPECT_EQ(arch_fallbacks.value(), arch_before);
 
   SweepRunner reference(1);
   reference.with_engine(ReplicateEngine::kScalar);
   expect_bit_identical(reference.run(lone), laned);
   expect_bit_identical(reference.run(replicated), laned_replicated);
   expect_bit_identical(reference.run(mesh), laned_mesh);
-  EXPECT_EQ(passes.value(), passes_before + 4);
-  EXPECT_EQ(arch_fallbacks.value(), arch_before + 1);
+  EXPECT_EQ(passes.value(), passes_before + 5);
+  EXPECT_EQ(arch_fallbacks.value(), arch_before);
 }
 
 TEST(SweepOfferedLoad, RunsEveryLoad) {

@@ -1,22 +1,24 @@
 // Differential fuzz harness for the packet engine.
 //
 // Random configurations across every supported (arch, scheme) cell —
-// crossbar, fully-connected, Batcher-Banyan, and banyan, each under
+// crossbar, fully-connected, Batcher-Banyan, banyan and mesh, each under
 // VOQ/iSLIP and FIFO/HOL ingress, with randomized shape, traffic pattern,
-// payload kind, scheduler depth, and (for banyan) node-FIFO capacity /
-// skid / DRAM knobs — run through run_simulation at several derived seeds
+// payload kind, scheduler depth, and (for banyan and mesh) node-FIFO
+// capacity / skid / DRAM knobs — run through run_simulation at several
+// derived seeds
 // and are pinned run for run against the reference engine: the run under
 // derive_stream_seed(seed, k) must reproduce run_reference_simulation's
 // SimResult for that seed bit for bit — every counter and double compared
 // by bit pattern, so a single FP add in the wrong order fails loudly.
-// Unsupported configurations (mesh, > 64 ports) route through the same
-// call's reference fallback and are pinned identically, which keeps the
-// contract uniform as coverage grows. Same idiom as
+// Unsupported configurations (> 64 ports, a non-square mesh) route
+// through the same call's reference fallback and are pinned identically,
+// which keeps the contract uniform as coverage grows. Same idiom as
 // tests/test_bitsliced_fuzz.cpp at the gate level.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 #include "common/bitops.hpp"
@@ -79,7 +81,8 @@ void pin_seeds(SimConfig config, unsigned seeds, const std::string& context) {
 
 /// A random supported configuration in the given (arch, scheme) cell,
 /// with randomized shape, pattern, payload, and scheduler depth — plus
-/// the banyan node-FIFO knobs when the cell has node FIFOs. Cycle counts
+/// the node-FIFO knobs when the cell has node FIFOs (banyan, mesh; mesh
+/// ignores dram_buffers, and the draw checks that it does). Cycle counts
 /// stay small — divergence shows up within a few hundred cycles or not
 /// at all.
 SimConfig random_config(Architecture arch, RouterScheme scheme,
@@ -91,8 +94,11 @@ SimConfig random_config(Architecture arch, RouterScheme scheme,
   c.ports = 2 + static_cast<unsigned>(rng.next_below(15));  // 2..16
   if (arch == Architecture::kBatcherBanyan) {
     c.ports = 4u << rng.next_below(3);  // 4..16, power of two
-  } else if (arch == Architecture::kBanyan) {
-    c.ports = 2u << rng.next_below(4);  // 2..16, power of two
+  } else if (arch == Architecture::kBanyan || arch == Architecture::kMesh) {
+    constexpr unsigned kSquares[] = {4, 9, 16, 25, 36, 49, 64};  // k x k
+    c.ports = arch == Architecture::kBanyan
+                  ? 2u << rng.next_below(4)  // 2..16, power of two
+                  : kSquares[rng.next_below(std::size(kSquares))];
     c.buffer_words_per_switch = 1 + static_cast<unsigned>(rng.next_below(6));
     c.buffer_skid_words = static_cast<unsigned>(rng.next_below(3));
     c.charge_buffer_read_and_write = rng.next_below(2) == 0;
@@ -128,7 +134,9 @@ SimConfig random_config(Architecture arch, RouterScheme scheme,
     default:
       c.pattern = TrafficPatternKind::kBitReversal;
       if (!is_pow2(c.ports)) {
-        c.ports = 1u << (1 + rng.next_below(4));  // 2..16, power of two
+        c.ports = arch == Architecture::kMesh
+                      ? 4u << (2 * rng.next_below(3))  // 4, 16, 64
+                      : 1u << (1 + rng.next_below(4));  // 2..16, pow2
       }
       break;
   }
@@ -140,7 +148,8 @@ TEST(LaneSimFuzz, RandomConfigsMatchScalarRunForRun) {
   // each pinned at several derived seeds.
   constexpr Architecture kArchs[] = {
       Architecture::kCrossbar, Architecture::kFullyConnected,
-      Architecture::kBatcherBanyan, Architecture::kBanyan};
+      Architecture::kBatcherBanyan, Architecture::kBanyan,
+      Architecture::kMesh};
   constexpr RouterScheme kSchemes[] = {RouterScheme::kVoq,
                                        RouterScheme::kFifo};
   std::uint64_t case_seed = 0;
@@ -165,6 +174,27 @@ TEST(LaneSimFuzz, RandomConfigsMatchScalarRunForRun) {
   }
 }
 
+TEST(LaneSimFuzz, DeepMeshChainsMatchAtEverySeed) {
+  // A saturated 8 x 8 mesh with one-word node FIFOs and no skid: most
+  // words stall or wait on a freed register, so a tick runs long chains of
+  // targeted re-sweeps and every buffered word pays SRAM energy.
+  SimConfig c;
+  c.arch = Architecture::kMesh;
+  c.ports = 64;
+  c.offered_load = 1.0;
+  c.packet_words = 4;
+  c.buffer_words_per_switch = 1;
+  c.buffer_skid_words = 0;
+  c.warmup_cycles = 100;
+  c.measure_cycles = 400;
+  c.seed = 0xD33C;
+  for (const RouterScheme scheme : {RouterScheme::kFifo, RouterScheme::kVoq}) {
+    c.scheme = scheme;
+    ASSERT_EQ(lane_sim_fallback_reason(c), LaneFallbackReason::kNone);
+    pin_seeds(c, 4, "mesh@64 chain " + std::string(to_string(scheme)));
+  }
+}
+
 TEST(LaneSimFuzz, LoadSweepMatchesAtEveryPoint) {
   SimConfig c;
   c.arch = Architecture::kCrossbar;
@@ -182,11 +212,10 @@ TEST(LaneSimFuzz, LoadSweepMatchesAtEveryPoint) {
 }
 
 TEST(LaneSimFuzz, UnsupportedConfigsFallBackIdentically) {
-  // Mesh and > 64-port configs take the reference fallback behind the
-  // same call — trivially identical, pinned so the routing stays honest as
-  // coverage grows.
+  // > 64-port configs and non-square meshes take the reference fallback
+  // behind the same call — trivially identical, pinned so the routing
+  // stays honest as coverage grows.
   SimConfig c;
-  c.ports = 8;
   c.packet_words = 4;
   c.warmup_cycles = 50;
   c.measure_cycles = 300;
@@ -194,9 +223,27 @@ TEST(LaneSimFuzz, UnsupportedConfigsFallBackIdentically) {
   c.seed = 11;
   c.arch = Architecture::kMesh;
   c.scheme = RouterScheme::kFifo;
-  c.ports = 9;  // k x k mesh needs a perfect square
-  EXPECT_EQ(lane_sim_fallback_reason(c), LaneFallbackReason::kArch);
-  pin_seeds(c, 3, "mesh fallback");
+  c.ports = 81;  // a 9 x 9 mesh: more than 64 routers
+  EXPECT_EQ(lane_sim_fallback_reason(c), LaneFallbackReason::kPorts);
+  pin_seeds(c, 3, "mesh@81 fallback");
+  // A non-square mesh falls back too, so the reference's own exception
+  // surfaces from run_simulation.
+  c.ports = 8;
+  EXPECT_EQ(lane_sim_fallback_reason(c), LaneFallbackReason::kPorts);
+  std::string engine_error;
+  std::string reference_error;
+  try {
+    (void)run_simulation(c);
+  } catch (const std::invalid_argument& e) {
+    engine_error = e.what();
+  }
+  try {
+    (void)run_reference_simulation(c);
+  } catch (const std::invalid_argument& e) {
+    reference_error = e.what();
+  }
+  EXPECT_FALSE(reference_error.empty());
+  EXPECT_EQ(engine_error, reference_error);
   c.arch = Architecture::kCrossbar;
   c.scheme = RouterScheme::kVoq;
   c.ports = 80;  // > 64 ports of egress state per mask word

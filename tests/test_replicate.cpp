@@ -93,11 +93,12 @@ TEST(Replicate, ArchitecturalGapsAreStatisticallyReal) {
 }
 
 TEST(Replicate, SupportedGridNeverFallsBack) {
-  // Every (arch, scheme) cell of the sweep grid except mesh runs on the
-  // packet engine: runs over the supported grid, up to its 64-port edge,
-  // must never take the reference fallback. Pinned through the fallback
-  // counters so a support regression (or a footprint mis-estimate) fails
-  // here, not silently in a 60x-slower sweep.
+  // Every (arch, scheme) cell of the sweep grid runs on the packet
+  // engine: runs over the supported grid, up to its 64-port edge (mesh at
+  // the square counts 16 and 64), must never take the reference fallback.
+  // Pinned through the fallback counters so a support regression (or a
+  // footprint mis-estimate) fails here, not silently in a 10x-slower
+  // sweep.
   obs::Counter& fallback =
       obs::Registry::global().counter("sim.lane.fallback_lanes");
   obs::Counter& footprint =
@@ -107,38 +108,41 @@ TEST(Replicate, SupportedGridNeverFallsBack) {
   const std::uint64_t fallback_before = fallback.value();
   const std::uint64_t footprint_before = footprint.value();
   const std::uint64_t engine_before = engine_runs.value();
-  constexpr Architecture kArchs[] = {
-      Architecture::kCrossbar, Architecture::kFullyConnected,
-      Architecture::kBatcherBanyan, Architecture::kBanyan};
   constexpr RouterScheme kSchemes[] = {RouterScheme::kVoq,
                                        RouterScheme::kFifo};
   constexpr unsigned kSeeds = 3;
   std::uint64_t runs = 0;
-  for (const unsigned ports : {8u, 32u, 64u}) {
-    for (const Architecture arch : kArchs) {
-      for (const RouterScheme scheme : kSchemes) {
-        SimConfig c;
-        c.arch = arch;
-        c.scheme = scheme;
-        c.ports = ports;
-        c.offered_load = 0.5;
-        c.warmup_cycles = 50;
-        c.measure_cycles = 200;
-        c.seed = 5;
-        ASSERT_EQ(lane_sim_fallback_reason(c), LaneFallbackReason::kNone)
-            << to_string(arch) << "/" << to_string(scheme) << " at "
-            << ports << " ports would fall back: "
-            << to_string(lane_sim_fallback_reason(c));
-        ASSERT_TRUE(lane_sim_supported(c));
-        for (unsigned k = 0; k < kSeeds; ++k) {
-          SimConfig run = c;
-          run.seed = derive_stream_seed(c.seed, k);
-          EXPECT_EQ(run_simulation(run).ports, ports);
-          ++runs;
-        }
+  const auto run_cell = [&](Architecture arch, unsigned ports) {
+    for (const RouterScheme scheme : kSchemes) {
+      SimConfig c;
+      c.arch = arch;
+      c.scheme = scheme;
+      c.ports = ports;
+      c.offered_load = 0.5;
+      c.warmup_cycles = 50;
+      c.measure_cycles = 200;
+      c.seed = 5;
+      ASSERT_EQ(lane_sim_fallback_reason(c), LaneFallbackReason::kNone)
+          << to_string(arch) << "/" << to_string(scheme) << " at " << ports
+          << " ports would fall back: "
+          << to_string(lane_sim_fallback_reason(c));
+      ASSERT_TRUE(lane_sim_supported(c));
+      for (unsigned k = 0; k < kSeeds; ++k) {
+        SimConfig run = c;
+        run.seed = derive_stream_seed(c.seed, k);
+        EXPECT_EQ(run_simulation(run).ports, ports);
+        ++runs;
       }
     }
+  };
+  for (const unsigned ports : {8u, 32u, 64u}) {
+    for (const Architecture arch :
+         {Architecture::kCrossbar, Architecture::kFullyConnected,
+          Architecture::kBatcherBanyan, Architecture::kBanyan}) {
+      run_cell(arch, ports);
+    }
   }
+  for (const unsigned ports : {16u, 64u}) run_cell(Architecture::kMesh, ports);
   EXPECT_EQ(fallback.value(), fallback_before)
       << "a supported-grid run took the reference fallback";
   EXPECT_EQ(footprint.value(), footprint_before);
