@@ -18,14 +18,12 @@ void Arbiter::lock(PortId egress) {
   if (egress >= ports()) throw std::out_of_range("Arbiter: bad egress");
   if (locked_[egress]) throw std::logic_error("Arbiter: egress already locked");
   locked_[egress] = 1;
-  if (egress < 64) locked_mask_ |= std::uint64_t{1} << egress;
 }
 
 void Arbiter::unlock(PortId egress) {
   if (egress >= ports()) throw std::out_of_range("Arbiter: bad egress");
   if (!locked_[egress]) throw std::logic_error("Arbiter: egress not locked");
   locked_[egress] = 0;
-  if (egress < 64) locked_mask_ &= ~(std::uint64_t{1} << egress);
 }
 
 const std::vector<ArbiterRequest>& Arbiter::arbitrate(

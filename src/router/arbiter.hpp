@@ -12,7 +12,6 @@
 // 58.6 % the paper cites.
 #pragma once
 
-#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -35,15 +34,10 @@ class Arbiter {
   void lock(PortId egress);
   /// Unlocks `egress` (its packet's tail was delivered).
   void unlock(PortId egress);
-  /// Inline: the router consults this per HOL packet per cycle.
+  /// True while a packet toward `egress` is in flight.
   [[nodiscard]] bool locked(PortId egress) const {
     if (egress >= ports()) throw std::out_of_range("Arbiter: bad egress");
     return locked_[egress] != 0;
-  }
-  /// Bit i set = egress i locked; valid when ports() <= 64 (the router's
-  /// mask-iteration fast path; larger radixes fall back to locked()).
-  [[nodiscard]] std::uint64_t locked_mask() const noexcept {
-    return locked_mask_;
   }
 
   /// Resolves one cycle of requests: returns the winning ingress per
@@ -61,7 +55,6 @@ class Arbiter {
 
  private:
   std::vector<char> locked_;
-  std::uint64_t locked_mask_ = 0;  ///< mirrors locked_ for ports <= 64
   /// Round-robin pointer per egress for FCFS ties.
   std::vector<PortId> rr_next_;
   // Per-call scratch, sized once at construction.

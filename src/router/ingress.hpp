@@ -4,16 +4,16 @@
 // buffering scheme for destination contention: these queues sit *outside*
 // the switch fabric and are not charged to fabric power). The head-of-line
 // packet waits for an arbiter grant, then streams into the fabric one word
-// per cycle, read straight out of the packet arena's slab. Everything here
-// is inline and allocation-free: the queue is a fixed ring of POD handles.
+// per cycle, read straight out of the packet arena's slab. The queue is a
+// std::deque of packet handles bounded by the configured capacity.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <stdexcept>
 
 #include "common/types.hpp"
 #include "fabric/fabric.hpp"  // Flit
-#include "router/packet_ring.hpp"
 #include "traffic/packet.hpp"
 
 namespace sfab {
@@ -24,19 +24,22 @@ class IngressUnit {
   /// arena must outlive this unit; queued packets' handles are released
   /// back to it on drop and on tail injection.
   IngressUnit(PortId port, std::size_t queue_packets, PacketArena& arena)
-      : port_(port), arena_(&arena), queue_(queue_packets) {}
+      : port_(port), arena_(&arena), capacity_(queue_packets) {
+    if (queue_packets < 1) {
+      throw std::invalid_argument("IngressUnit: capacity >= 1 packet");
+    }
+  }
 
   /// Queues an arriving packet; on a full queue the packet is dropped:
   /// counted, released back to the arena, and false returned.
   bool enqueue(const Packet& packet, Cycle now) {
-    if (queue_.full()) {
+    if (queue_.size() == capacity_) {
       ++drops_;
       arena_->release(packet);
       return false;
     }
-    const bool was_empty = queue_.empty();
-    queue_.push(packet);
-    if (was_empty && !streaming_) head_since_ = now;
+    if (queue_.empty() && !streaming_) head_since_ = now;
+    queue_.push_back(packet);
     return true;
   }
 
@@ -97,11 +100,6 @@ class IngressUnit {
     check_streaming();
     return queue_.front().dest;
   }
-  /// Index of the word peek_word() returns (0 = header).
-  [[nodiscard]] std::uint32_t streaming_word_index() const {
-    check_streaming();
-    return word_index_;
-  }
 
   /// Marks the current word as injected; advances to the next word and
   /// retires the packet (releasing its arena block) when the tail goes out.
@@ -110,7 +108,7 @@ class IngressUnit {
     ++word_index_;
     if (word_index_ == queue_.front().word_count) {
       arena_->release(queue_.front());
-      queue_.pop();
+      queue_.pop_front();
       streaming_ = false;
       word_index_ = 0;
       ++packets_sent_;
@@ -138,7 +136,8 @@ class IngressUnit {
 
   PortId port_;
   PacketArena* arena_;
-  PacketRing queue_;
+  std::size_t capacity_;
+  std::deque<Packet> queue_;
   Cycle head_since_ = 0;
   bool streaming_ = false;
   std::uint32_t word_index_ = 0;

@@ -10,6 +10,11 @@
 //      fabric when the fabric can accept it (back-pressure otherwise)
 //   4. fabric tick: words advance, deliveries land at the egress collector
 //   5. egress unlock for packets whose tail word was just delivered
+//
+// This is the reference form of the paper's router: each step scans the
+// ingress units once for head-of-line requests and once for words to
+// inject. The packet engine (sim/lane_sim.hpp) runs the same cycle order
+// and is pinned against this class bit for bit.
 #pragma once
 
 #include <memory>
@@ -19,7 +24,6 @@
 #include "router/egress.hpp"
 #include "router/ingress.hpp"
 #include "traffic/generator.hpp"
-#include "traffic/source.hpp"
 
 namespace sfab {
 
@@ -30,10 +34,6 @@ struct RouterConfig {
 
 class Router {
  public:
-  Router(std::unique_ptr<SwitchFabric> fabric,
-         std::unique_ptr<TrafficSource> traffic, RouterConfig config = {});
-
-  /// Convenience: wraps a concrete generator (the common case).
   Router(std::unique_ptr<SwitchFabric> fabric, TrafficGenerator traffic,
          RouterConfig config = {});
 
@@ -69,8 +69,6 @@ class Router {
   [[nodiscard]] const EgressCollector& egress() const noexcept {
     return egress_;
   }
-  [[nodiscard]] const IngressUnit& ingress(PortId port) const;
-  [[nodiscard]] const Arbiter& arbiter() const noexcept { return arbiter_; }
 
   /// Arbitration grants since construction (one per packet admitted to
   /// the fabric); the probes' grant-rate series.
@@ -87,41 +85,12 @@ class Router {
   [[nodiscard]] const PacketArena& arena() const noexcept { return arena_; }
 
  private:
-  [[nodiscard]] static std::uint64_t mask_bit(PortId p) noexcept {
-    return p < 64 ? std::uint64_t{1} << p : 0;
-  }
-  void add_contender(PortId egress, PortId ingress) {
-    contenders_[egress].push_back(ingress);
-    contender_mask_ |= mask_bit(egress);
-  }
-  void remove_contender(PortId egress, PortId ingress) {
-    auto& list = contenders_[egress];
-    for (std::size_t k = 0; k < list.size(); ++k) {
-      if (list[k] == ingress) {
-        list[k] = list.back();
-        list.pop_back();
-        break;
-      }
-    }
-    if (list.empty()) contender_mask_ &= ~mask_bit(egress);
-  }
-
   std::unique_ptr<SwitchFabric> fabric_;
-  std::unique_ptr<TrafficSource> traffic_;
+  TrafficGenerator traffic_;
   PacketArena arena_;  ///< owns all packet words; declared before ingresses_
   Arbiter arbiter_;
   EgressCollector egress_;
   std::vector<IngressUnit> ingresses_;
-  /// contenders_[egress] = ingresses whose head-of-line packet targets it,
-  /// maintained incrementally (HOL appears on enqueue-to-idle and on packet
-  /// retirement, disappears on grant). Replaces an every-cycle scan of all
-  /// ingress units with work proportional to actual HOL churn.
-  std::vector<std::vector<PortId>> contenders_;
-  /// Bit e set = contenders_[e] non-empty; bit p set = ingress p streaming.
-  /// Used for mask iteration when ports <= 64 (bit-identical: masks are
-  /// walked in ascending index order, same as the scans they replace).
-  std::uint64_t contender_mask_ = 0;
-  std::uint64_t streaming_mask_ = 0;
   std::vector<ArbiterRequest> requests_;  ///< per-cycle scratch
   std::vector<Packet> arrivals_;          ///< per-cycle scratch
   Cycle cycle_ = 0;

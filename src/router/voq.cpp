@@ -9,18 +9,15 @@ namespace sfab {
 
 VoqBank::VoqBank(PortId port, unsigned egress_ports,
                  std::size_t capacity_packets, PacketArena& arena)
-    : port_(port), arena_(&arena), capacity_(capacity_packets) {
+    : port_(port),
+      arena_(&arena),
+      capacity_(capacity_packets),
+      queues_(egress_ports),
+      occupancy_(bitmask_words(egress_ports), 0) {
   if (egress_ports < 2) throw std::invalid_argument("VoqBank: ports >= 2");
   if (capacity_packets < 1) {
     throw std::invalid_argument("VoqBank: capacity >= 1 packet");
   }
-  // Each per-egress ring must be able to absorb the full shared budget:
-  // nothing stops every queued packet from targeting one egress.
-  queues_.reserve(egress_ports);
-  for (unsigned e = 0; e < egress_ports; ++e) {
-    queues_.emplace_back(capacity_packets);
-  }
-  occupancy_.assign(bitmask_words(egress_ports), 0);
 }
 
 bool VoqBank::enqueue(const Packet& packet) {
@@ -32,7 +29,7 @@ bool VoqBank::enqueue(const Packet& packet) {
     arena_->release(packet);
     return false;
   }
-  queues_[packet.dest].push(packet);
+  queues_[packet.dest].push_back(packet);
   set_bit(occupancy_.data(), packet.dest);
   ++total_;
   return true;
@@ -48,7 +45,7 @@ Packet VoqBank::pop(PortId egress) {
     throw std::logic_error("VoqBank: pop from empty VOQ");
   }
   const Packet p = queues_[egress].front();
-  queues_[egress].pop();
+  queues_[egress].pop_front();
   if (queues_[egress].empty()) clear_bit(occupancy_.data(), egress);
   --total_;
   return p;

@@ -7,16 +7,16 @@
 // saturation throughput approaches the line rate. This module provides
 // both pieces so experiments can quantify what the paper's throughput cap
 // costs and how fabric power responds when the fabric is actually loaded
-// to 90%+. The VOQs are fixed rings of arena handles and the matcher works
-// on a flat request matrix with preallocated scratch, so a cycle of VOQ
-// arbitration performs no heap allocation.
+// to 90%+. Each VOQ is a std::deque of arena handles under the bank's
+// shared capacity; the matcher reads the banks' occupancy rows
+// (match_banks), and match_flat is its plain request-matrix reference.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "common/types.hpp"
-#include "router/packet_ring.hpp"
 #include "traffic/packet.hpp"
 
 namespace sfab {
@@ -61,7 +61,7 @@ class VoqBank {
   PortId port_;
   PacketArena* arena_;
   std::size_t capacity_;
-  std::vector<PacketRing> queues_;
+  std::vector<std::deque<Packet>> queues_;
   std::vector<std::uint64_t> occupancy_;  // bit e = VOQ e non-empty
   std::size_t total_ = 0;
   std::uint64_t drops_ = 0;

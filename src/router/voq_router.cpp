@@ -8,20 +8,12 @@ namespace sfab {
 
 VoqRouter::VoqRouter(std::unique_ptr<SwitchFabric> fabric,
                      TrafficGenerator traffic, VoqRouterConfig config)
-    : VoqRouter(std::move(fabric),
-                std::make_unique<TrafficGenerator>(std::move(traffic)),
-                config) {}
-
-VoqRouter::VoqRouter(std::unique_ptr<SwitchFabric> fabric,
-                     std::unique_ptr<TrafficSource> traffic,
-                     VoqRouterConfig config)
     : fabric_(std::move(fabric)),
       traffic_(std::move(traffic)),
       islip_(fabric_ ? fabric_->ports() : 2, config.islip_iterations),
       egress_(fabric_ ? fabric_->ports() : 2) {
   if (!fabric_) throw std::invalid_argument("VoqRouter: null fabric");
-  if (!traffic_) throw std::invalid_argument("VoqRouter: null traffic source");
-  if (traffic_->ports() != fabric_->ports()) {
+  if (traffic_.ports() != fabric_->ports()) {
     throw std::invalid_argument("VoqRouter: traffic/fabric port mismatch");
   }
   banks_.reserve(fabric_->ports());
@@ -45,7 +37,7 @@ void VoqRouter::step() {
   // 1. Traffic arrivals into the VOQ banks.
   if (traffic_enabled_) {
     arrivals_.clear();
-    traffic_->poll_cycle(cycle_, arena_, arrivals_);
+    traffic_.poll_cycle(cycle_, arena_, arrivals_);
     for (const Packet& packet : arrivals_) {
       banks_[packet.source].enqueue(packet);
     }

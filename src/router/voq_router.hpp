@@ -13,7 +13,6 @@
 #include "router/egress.hpp"
 #include "router/voq.hpp"
 #include "traffic/generator.hpp"
-#include "traffic/source.hpp"
 
 namespace sfab {
 
@@ -26,11 +25,6 @@ struct VoqRouterConfig {
 
 class VoqRouter {
  public:
-  VoqRouter(std::unique_ptr<SwitchFabric> fabric,
-            std::unique_ptr<TrafficSource> traffic,
-            VoqRouterConfig config = {});
-
-  /// Convenience: wraps a concrete generator (the common case).
   VoqRouter(std::unique_ptr<SwitchFabric> fabric, TrafficGenerator traffic,
             VoqRouterConfig config = {});
 
@@ -77,7 +71,7 @@ class VoqRouter {
   };
 
   std::unique_ptr<SwitchFabric> fabric_;
-  std::unique_ptr<TrafficSource> traffic_;
+  TrafficGenerator traffic_;
   PacketArena arena_;  ///< owns all packet words; declared before banks_
   IslipArbiter islip_;
   EgressCollector egress_;

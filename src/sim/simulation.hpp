@@ -6,7 +6,8 @@
 // power split by component, energy per bit and latency. run_simulation
 // runs the packet engine (sim/lane_sim.hpp), one run per call;
 // run_reference_simulation builds the traffic generator, router and
-// fabric objects and steps them, and is what the packet engine is pinned
+// fabric objects and steps them. The reference is written plainly, for
+// reading rather than speed: it is what the packet engine is pinned
 // against.
 #pragma once
 
@@ -135,10 +136,10 @@ class SimObserver;
                                        obs::SimObserver* observer);
 
 /// The reference engine: one Router or VoqRouter over a SwitchFabric,
-/// stepped cycle by cycle. It runs what the packet engine does not cover
-/// (> 64 ports, a non-square mesh, observed runs, configs the
-/// constructors reject) and is the oracle the packet engine is pinned
-/// against bit for bit.
+/// stepped cycle by cycle, with plain scans and std::deque queues. It runs
+/// what the packet engine does not cover (> 64 ports, a non-square mesh,
+/// observed runs, configs the constructors reject) and is the oracle the
+/// packet engine is pinned against bit for bit.
 [[nodiscard]] SimResult run_reference_simulation(
     const SimConfig& config, obs::SimObserver* observer = nullptr);
 

@@ -1,4 +1,4 @@
-// Packet arena: the allocation-free backbone of the simulation hot path.
+// Packet arena: the word slab behind the reference engine's packet handles.
 //
 // A simulation creates and retires on the order of one packet per port every
 // few cycles; giving each packet its own heap-allocated word vector made the
@@ -6,7 +6,7 @@
 // arena instead keeps every live packet's words in one contiguous slab and
 // turns Packet into a POD *handle* — {id, source, dest, created, word_offset,
 // word_count} — that queues copy by value. Freed word blocks are recycled by
-// exact size, so a steady-state run performs zero heap allocations: the slab
+// exact size, so in steady state the arena allocates nothing: the slab
 // grows to the high-water mark of in-flight packets once and is then reused
 // forever.
 //
@@ -75,13 +75,6 @@ class PacketView {
 class PacketArena {
  public:
   PacketArena() = default;
-
-  /// Pre-sizes the slab for `packets` concurrent packets of
-  /// `words_per_packet` words each (optional; the slab also grows on
-  /// demand and stops growing once recycling covers the steady state).
-  void reserve(std::size_t packets, std::uint32_t words_per_packet) {
-    slab_.reserve(slab_.size() + packets * words_per_packet);
-  }
 
   /// Claims a block of `word_count` words and returns its slab offset.
   /// Recycles a retired block of the exact same size when one is free.

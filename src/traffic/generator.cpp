@@ -128,11 +128,6 @@ TrafficGenerator::TrafficGenerator(
   if (!arrivals_ || !destinations_) {
     throw std::invalid_argument("TrafficGenerator: null strategy");
   }
-  if (const auto* bernoulli =
-          dynamic_cast<const BernoulliArrival*>(arrivals_.get())) {
-    bernoulli_rate_ = bernoulli->mean_rate();
-    bernoulli_threshold_ = Rng::bernoulli_threshold(bernoulli_rate_);
-  }
 }
 
 std::optional<Packet> TrafficGenerator::poll(PortId source, Cycle now,
@@ -145,30 +140,8 @@ std::optional<Packet> TrafficGenerator::poll(PortId source, Cycle now,
 
 void TrafficGenerator::poll_cycle(Cycle now, PacketArena& arena,
                                   std::vector<Packet>& out) {
-  if (bernoulli_rate_ >= 1.0) {
-    // Saturating rate: next_bernoulli(p >= 1) is true without a draw.
-    for (PortId p = 0; p < ports_; ++p) {
-      const PortId dest = destinations_->pick(p, rng_);
-      out.push_back(factory_.make(arena, p, dest, now));
-    }
-    return;
-  }
-  if (bernoulli_rate_ == 0.0) return;  // no arrivals, no draws
-  if (bernoulli_rate_ > 0.0) {
-    // Bernoulli fast path: draw-for-draw identical to
-    // BernoulliArrival::arrives, without the virtual dispatch or the
-    // per-draw int-to-double conversion (see Rng::bernoulli_threshold).
-    for (PortId p = 0; p < ports_; ++p) {
-      if (!rng_.next_bernoulli_threshold(bernoulli_threshold_)) continue;
-      const PortId dest = destinations_->pick(p, rng_);
-      out.push_back(factory_.make(arena, p, dest, now));
-    }
-    return;
-  }
   for (PortId p = 0; p < ports_; ++p) {
-    if (!arrivals_->arrives(p, rng_)) continue;
-    const PortId dest = destinations_->pick(p, rng_);
-    out.push_back(factory_.make(arena, p, dest, now));
+    if (const auto packet = poll(p, now, arena)) out.push_back(*packet);
   }
 }
 

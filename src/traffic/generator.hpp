@@ -5,6 +5,8 @@
 // to pluggable strategies so ablations can compare patterns:
 //   arrivals: Bernoulli (memoryless) and bursty (2-state Markov on/off)
 //   destinations: uniform, fixed permutation, hotspot
+// The reference routers poll one TrafficGenerator per cycle; packet words
+// are written straight into the caller's PacketArena.
 #pragma once
 
 #include <memory>
@@ -14,7 +16,6 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "traffic/packet.hpp"
-#include "traffic/source.hpp"
 
 namespace sfab {
 
@@ -106,28 +107,27 @@ class BurstyArrival final : public ArrivalProcess {
 
 /// Full generator: one arrival process + one destination pattern + one
 /// packet factory, polled once per ingress port per cycle.
-class TrafficGenerator final : public TrafficSource {
+class TrafficGenerator {
  public:
   TrafficGenerator(unsigned ports, std::unique_ptr<ArrivalProcess> arrivals,
                    std::unique_ptr<DestinationPattern> destinations,
                    PacketFactory factory, std::uint64_t seed);
 
   /// One poll per port per cycle; returns a packet when one arrives, its
-  /// words filled in place in `arena`.
+  /// words allocated from and filled into `arena`. The caller owns the
+  /// handle and releases it back to `arena` on drop or tail injection.
   [[nodiscard]] std::optional<Packet> poll(PortId source, Cycle now,
-                                           PacketArena& arena) override;
+                                           PacketArena& arena);
 
-  /// Batched per-cycle poll (the routers' hot path): one virtual dispatch
-  /// per cycle, with a devirtualized fast path for Bernoulli arrivals.
-  /// Draw-for-draw identical to calling poll() per port in order.
-  void poll_cycle(Cycle now, PacketArena& arena,
-                  std::vector<Packet>& out) override;
+  /// Polls every port for cycle `now` in ascending port order, appending
+  /// the arrivals to `out` without clearing it.
+  void poll_cycle(Cycle now, PacketArena& arena, std::vector<Packet>& out);
 
   /// Offered load in words per cycle per port implied by the arrival rate
   /// and packet length (can exceed 1; the input queue then saturates).
   [[nodiscard]] double offered_load_words() const;
 
-  [[nodiscard]] unsigned ports() const noexcept override { return ports_; }
+  [[nodiscard]] unsigned ports() const noexcept { return ports_; }
 
   // --- convenience factories -------------------------------------------------
 
@@ -160,12 +160,6 @@ class TrafficGenerator final : public TrafficSource {
   std::unique_ptr<DestinationPattern> destinations_;
   PacketFactory factory_;
   Rng rng_;
-  /// Bernoulli rate when arrivals_ is a BernoulliArrival (the paper's
-  /// workload), else negative. Lets poll_cycle draw inline instead of
-  /// making a virtual arrives() call per port per cycle.
-  double bernoulli_rate_ = -1.0;
-  /// Rng::bernoulli_threshold(bernoulli_rate_), hoisted out of the loop.
-  std::uint64_t bernoulli_threshold_ = 0;
 };
 
 }  // namespace sfab

@@ -7,7 +7,7 @@
 // bus words: words[0] is the header word carrying the destination address,
 // the rest are payload. The words live in a PacketArena (traffic/arena.hpp)
 // and Packet itself is a POD handle, so queues move packets with integer
-// copies and steady-state runs never touch the heap.
+// copies.
 #pragma once
 
 #include <cstdint>
@@ -34,9 +34,9 @@ enum class PayloadKind {
 [[nodiscard]] PayloadKind parse_payload_kind(std::string_view name);
 
 /// Fills a packet's word block in place: words[0] = header (destination),
-/// the rest payload of the given kind. Shared by PacketFactory and
-/// TraceReplay so both draw payload bits in the identical order. Inline:
-/// this runs once per generated packet inside the traffic poll loop.
+/// the rest payload of the given kind. Shared by PacketFactory and the
+/// packet engine (sim/lane_sim_engine.ipp) so both draw payload bits in
+/// the identical order. Inline: this runs once per generated packet.
 inline void fill_packet_words(Word* words, std::uint32_t total_words,
                               PortId dest, PayloadKind kind,
                               Rng& rng) noexcept {

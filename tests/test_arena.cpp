@@ -1,8 +1,7 @@
-// Tests for the packet arena and the fixed-capacity packet rings — the
-// allocation-free hot path introduced by the packet-arena PR.
+// Tests for the packet arena: the word slab behind the reference routers'
+// packet handles, with exact-size block recycling.
 #include <gtest/gtest.h>
 
-#include "router/packet_ring.hpp"
 #include "traffic/arena.hpp"
 #include "traffic/packet.hpp"
 
@@ -99,66 +98,6 @@ TEST(PacketArena, ViewSeesTheFilledWords) {
   EXPECT_EQ(view[1], 0xFFFFFFFFu);
   EXPECT_EQ(view[2], 0x00000000u);
   EXPECT_EQ(arena.word(p, 3), 0xFFFFFFFFu);
-}
-
-// --- PacketRing -------------------------------------------------------------
-
-TEST(PacketRing, StartsEmptyAndRejectsZeroCapacity) {
-  PacketRing ring{4};
-  EXPECT_TRUE(ring.empty());
-  EXPECT_FALSE(ring.full());
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_EQ(ring.capacity(), 4u);
-  EXPECT_THROW((PacketRing{0}), std::invalid_argument);
-}
-
-TEST(PacketRing, FifoOrderAndFullRejection) {
-  PacketRing ring{2};
-  Packet a, b, c;
-  a.id = 1, b.id = 2, c.id = 3;
-  EXPECT_TRUE(ring.push(a));
-  EXPECT_TRUE(ring.push(b));
-  EXPECT_TRUE(ring.full());
-  EXPECT_FALSE(ring.push(c));  // full: rejected, ring unchanged
-  EXPECT_EQ(ring.size(), 2u);
-
-  EXPECT_EQ(ring.front().id, 1u);
-  ring.pop();
-  EXPECT_EQ(ring.front().id, 2u);
-  ring.pop();
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(PacketRing, WrapsAroundManyTimes) {
-  PacketRing ring{3};
-  std::uint64_t next_id = 0, expect_id = 0;
-  // Keep the ring at capacity 2 while cycling far past the backing array:
-  // head and tail wrap every 3 operations.
-  Packet p;
-  p.id = next_id++;
-  (void)ring.push(p);
-  p.id = next_id++;
-  (void)ring.push(p);
-  for (int round = 0; round < 1000; ++round) {
-    ASSERT_EQ(ring.front().id, expect_id++);
-    ring.pop();
-    p.id = next_id++;
-    ASSERT_TRUE(ring.push(p));
-    ASSERT_EQ(ring.size(), 2u);
-  }
-}
-
-TEST(PacketRing, CapacityOneEdgeCase) {
-  PacketRing ring{1};
-  Packet p;
-  p.id = 7;
-  EXPECT_TRUE(ring.push(p));
-  EXPECT_TRUE(ring.full());
-  EXPECT_FALSE(ring.push(p));
-  EXPECT_EQ(ring.front().id, 7u);
-  ring.pop();
-  EXPECT_TRUE(ring.empty());
-  EXPECT_TRUE(ring.push(p));  // usable again after wrap
 }
 
 }  // namespace

@@ -3,8 +3,11 @@
 // No rework of either packet engine may change a single bit of any
 // measurement: these golden values were recorded by running the first
 // engine (commit 4a5196b) on the configs below, with doubles captured as
-// hexfloats. Each golden is asserted through run_simulation (the lane
-// engine, or its fallback for mesh) and through run_reference_simulation.
+// hexfloats. The two 128-port goldens were recorded later, at commit
+// d270e6b rather than 4a5196b: they pin the reference engine above the
+// packet engine's 64 ports, the path run_simulation falls back to there.
+// Each golden is asserted through run_simulation (the packet engine, or
+// its reference fallback) and through run_reference_simulation.
 // Every assertion is an exact comparison — EXPECT_EQ on doubles is
 // deliberate. If an optimization legitimately needs to change simulation
 // results, that is a behavioral change to be made explicitly, not a
@@ -30,8 +33,8 @@ struct Golden {
   double mean_packet_latency_cycles;
 };
 
-// Recorded from the seed engine; see the table in the test body for the
-// matching configs.
+// Recorded from the seed engine, except the two 128-port rows; see
+// config_named for the matching configs.
 constexpr Golden kGoldens[] = {
     {"crossbar_fifo_uniform", 62573ull, 3913ull, 0ull, 0x1.f495810624dd3p-2,
      0x1.35e965a87d958p-2, 0x1.ep+3},
@@ -45,6 +48,11 @@ constexpr Golden kGoldens[] = {
      0x1.6111a84e5c1e4p+0, 0x1.5012e519d96c4p+4},
     {"fullyconn_bitrev", 88664ull, 5540ull, 0ull, 0x1.62a7ef9db22d1p-1,
      0x1.4e5d8e7d28052p-2, 0x1.ep+3},
+    // Recorded at commit d270e6b (see the header comment).
+    {"banyan_fifo_128", 312729ull, 19541ull, 34782ull, 0x1.38ba9fbe76c8bp-2,
+     0x1.19eb0cf0b5888p+8, 0x1.133c1107e652ap+5},
+    {"crossbar_voq_128", 910804ull, 56939ull, 0ull, 0x1.c766e978d4fdfp-1,
+     0x1.1a1468479ba46p+5, 0x1.ep+3},
 };
 
 SimConfig config_named(std::string_view name) {
@@ -89,6 +97,18 @@ SimConfig config_named(std::string_view name) {
     base.arch = Architecture::kFullyConnected;
     base.pattern = TrafficPatternKind::kBitReversal;
     base.offered_load = 0.7;
+    return base;
+  }
+  if (name == "banyan_fifo_128") {
+    base.arch = Architecture::kBanyan;
+    base.ports = 128;
+    base.offered_load = 0.9;
+    return base;
+  }
+  if (name == "crossbar_voq_128") {
+    base.scheme = RouterScheme::kVoq;
+    base.ports = 128;
+    base.offered_load = 0.9;
     return base;
   }
   throw std::logic_error("unknown golden config");

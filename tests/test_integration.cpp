@@ -101,7 +101,7 @@ TEST(PaperObservations, Obs1BanyanHasCheapestDataPathAt32Ports) {
   // on how many buffered words hit the shared SRAM — with Table 2's
   // datasheet-scale energies charged per buffered word, contention between
   // full-rate word streams already erases the Banyan's advantage at 10%
-  // load; EXPERIMENTS.md discusses the deviation.
+  // load; ROADMAP.md item 5 records the deviation and its numbers.
   const SimResult banyan = run_simulation(base(Architecture::kBanyan, 32, 0.1));
   const double banyan_path = banyan.switch_power_w + banyan.wire_power_w;
   for (const Architecture arch :

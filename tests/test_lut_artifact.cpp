@@ -158,22 +158,10 @@ TEST(LutArtifact, SwitchTablesFeedTheAnalyticalModel) {
 
 TEST(LutArtifact, CommittedArtifactLoadsAndMatchesSchema) {
   // The shipped ground truth: loads, covers every preset, ladder to 1024.
-  const char* candidates[] = {"power/luts/switch_luts.json",
-                              "../power/luts/switch_luts.json"};
-  LutArtifact artifact;
-  bool loaded = false;
-  for (const char* path : candidates) {
-    try {
-      artifact = load_lut_artifact(path);
-      loaded = true;
-      break;
-    } catch (const std::runtime_error&) {
-      continue;  // not found at this relative path
-    }
-  }
-  if (!loaded) {
-    GTEST_SKIP() << "committed artifact not reachable from test cwd";
-  }
+  // SFAB_SOURCE_DIR is the checkout root, passed in by CMakeLists.txt, so
+  // the test finds the artifact from any build directory.
+  const LutArtifact artifact =
+      load_lut_artifact(SFAB_SOURCE_DIR "/power/luts/switch_luts.json");
   ASSERT_EQ(artifact.presets.size(),
             TechnologyParams::preset_names().size());
   for (const std::string& name : TechnologyParams::preset_names()) {

@@ -79,7 +79,8 @@ TEST(Replicate, RunsDistinctSeedsAndSummarizes) {
 
 TEST(Replicate, ArchitecturalGapsAreStatisticallyReal) {
   // FC vs crossbar at 16 ports must be distinguishable at 95% confidence —
-  // the kind of claim EXPERIMENTS.md makes, backed properly.
+  // the kind of architectural-gap claim ROADMAP.md item 5 records against
+  // the paper, backed properly.
   SimConfig c;
   c.ports = 16;
   c.offered_load = 0.4;
