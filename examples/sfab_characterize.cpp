@@ -69,25 +69,20 @@ int main(int argc, char** argv) {
       if (arg == "--out") {
         out_path = next();
       } else if (arg == "--cycles") {
-        options.generator.cycles =
-            sfab::parse_unsigned_flag<std::uint64_t>(arg, next());
+        options.generator.cycles = sfab::parse_flag<std::uint64_t>(arg, next());
       } else if (arg == "--warmup") {
-        options.generator.warmup =
-            sfab::parse_unsigned_flag<unsigned>(arg, next());
+        options.generator.warmup = sfab::parse_flag<unsigned>(arg, next());
       } else if (arg == "--seed") {
-        options.generator.seed =
-            sfab::parse_unsigned_flag<std::uint64_t>(arg, next());
+        options.generator.seed = sfab::parse_flag<std::uint64_t>(arg, next());
       } else if (arg == "--lanes") {
-        options.generator.lanes =
-            sfab::parse_unsigned_flag<unsigned>(arg, next());
+        options.generator.lanes = sfab::parse_flag<unsigned>(arg, next());
       } else if (arg == "--bits") {
         options.generator.bits_per_port =
-            sfab::parse_unsigned_flag<unsigned>(arg, next());
+            sfab::parse_flag<unsigned>(arg, next());
       } else if (arg == "--threads") {
-        options.threads = sfab::parse_unsigned_flag<unsigned>(arg, next());
+        options.threads = sfab::parse_flag<unsigned>(arg, next());
       } else if (arg == "--max-mux") {
-        options.max_mux_inputs =
-            sfab::parse_unsigned_flag<unsigned>(arg, next());
+        options.max_mux_inputs = sfab::parse_flag<unsigned>(arg, next());
       } else if (arg == "--presets") {
         options.presets = split_csv(next());
         for (const std::string& name : options.presets) {

@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -328,7 +329,7 @@ int main(int argc, char** argv) {
   std::string probe_path;
   std::uint64_t probe_stride = 64;
   unsigned shards = 0;
-  int shard_index = -1;
+  std::optional<unsigned> shard_index;  // set: run as worker I
   std::string shard_dir;
   bool merge_mode = false;
   bool watch_mode = false;
@@ -354,11 +355,12 @@ int main(int argc, char** argv) {
             next(), [](const std::string& s) { return parse_architecture(s); });
       } else if (flag == "--ports") {
         spec.ports = parse_list<unsigned>(next(), [&](const std::string& s) {
-          return parse_unsigned_flag<unsigned>(flag, s);
+          return parse_flag<unsigned>(flag, s);
         });
       } else if (flag == "--load") {
-        spec.loads = parse_list<double>(
-            next(), [](const std::string& s) { return std::stod(s); });
+        spec.loads = parse_list<double>(next(), [&](const std::string& s) {
+          return parse_flag<double>(flag, s);
+        });
       } else if (flag == "--pattern") {
         spec.patterns = parse_list<TrafficPatternKind>(
             next(),
@@ -391,40 +393,36 @@ int main(int argc, char** argv) {
       } else if (flag == "--buffer-words") {
         spec.buffer_words =
             parse_list<unsigned>(next(), [&](const std::string& s) {
-              return parse_unsigned_flag<unsigned>(flag, s);
+              return parse_flag<unsigned>(flag, s);
             });
       } else if (flag == "--packet-words") {
         spec.packet_words =
             parse_list<unsigned>(next(), [&](const std::string& s) {
-              return parse_unsigned_flag<unsigned>(flag, s);
+              return parse_flag<unsigned>(flag, s);
             });
       } else if (flag == "--replicates") {
-        spec.replicates = parse_unsigned_flag<unsigned>(flag, next());
+        spec.replicates = parse_flag<unsigned>(flag, next());
       } else if (flag == "--threads") {
-        threads = parse_unsigned_flag<unsigned>(flag, next());
+        threads = parse_flag<unsigned>(flag, next());
       } else if (flag == "--cycles") {
-        spec.base.measure_cycles = parse_unsigned_flag<Cycle>(flag, next());
+        spec.base.measure_cycles = parse_flag<Cycle>(flag, next());
       } else if (flag == "--warmup") {
-        spec.base.warmup_cycles = parse_unsigned_flag<Cycle>(flag, next());
+        spec.base.warmup_cycles = parse_flag<Cycle>(flag, next());
       } else if (flag == "--seed") {
-        spec.base.seed = parse_unsigned_flag<std::uint64_t>(flag, next());
+        spec.base.seed = parse_flag<std::uint64_t>(flag, next());
       } else if (flag == "--skid") {
-        spec.base.buffer_skid_words =
-            parse_unsigned_flag<unsigned>(flag, next());
+        spec.base.buffer_skid_words = parse_flag<unsigned>(flag, next());
       } else if (flag == "--dram") {
         spec.base.dram_buffers = true;
       } else if (flag == "--csv") {
         csv_path = next();
       } else if (flag == "--shards") {
-        shards = parse_unsigned_flag<unsigned>(flag, next());
+        shards = parse_flag<unsigned>(flag, next());
         if (shards == 0) {
           throw std::invalid_argument("--shards must be >= 1");
         }
       } else if (flag == "--shard-index") {
-        shard_index = std::stoi(next());
-        if (shard_index < 0) {
-          throw std::invalid_argument("--shard-index must be >= 0");
-        }
+        shard_index = parse_flag<unsigned>(flag, next());
       } else if (flag == "--shard-dir") {
         shard_dir = next();
       } else if (flag == "--merge") {
@@ -434,17 +432,21 @@ int main(int argc, char** argv) {
       } else if (flag == "--allow-quarantined") {
         allow_quarantined = true;
       } else if (flag == "--max-reclaims") {
-        max_reclaims = parse_unsigned_flag<unsigned>(flag, next());
+        max_reclaims = parse_flag<unsigned>(flag, next());
         if (max_reclaims == 0) {
           throw std::invalid_argument("--max-reclaims must be >= 1");
         }
       } else if (flag == "--shard-count") {
-        shard_count_override = parse_unsigned_flag<std::size_t>(flag, next());
+        shard_count_override = parse_flag<std::size_t>(flag, next());
         if (shard_count_override == 0) {
           throw std::invalid_argument("--shard-count must be >= 1");
         }
       } else if (flag == "--stale-after") {
-        stale_after_s = std::stod(next());
+        stale_after_s = parse_flag<double>(flag, next());
+        if (!(stale_after_s > 0.0 && std::isfinite(stale_after_s))) {
+          throw std::invalid_argument(
+              "--stale-after must be a finite number of seconds > 0");
+        }
       } else if (flag == "--metrics-out") {
         obs_outputs.metrics_path = next();
       } else if (flag == "--profile") {
@@ -455,7 +457,7 @@ int main(int argc, char** argv) {
       } else if (flag == "--probe-out") {
         probe_path = next();
       } else if (flag == "--probe-stride") {
-        probe_stride = parse_unsigned_flag<std::uint64_t>(flag, next());
+        probe_stride = parse_flag<std::uint64_t>(flag, next());
         if (probe_stride == 0) {
           throw std::invalid_argument("--probe-stride must be >= 1");
         }
@@ -509,7 +511,7 @@ int main(int argc, char** argv) {
     }
 
     // --- worker: claim and run shards until the sweep settles -------------
-    if (shard_index >= 0) {
+    if (shard_index) {
       if (shards == 0 || shard_dir.empty()) {
         throw std::invalid_argument(
             "--shard-index needs --shards (worker count) and --shard-dir");
@@ -517,7 +519,7 @@ int main(int argc, char** argv) {
       dist::WorkerOptions options;
       options.threads = threads;
       options.stale_after_s = stale_after_s;
-      options.worker_index = static_cast<unsigned>(shard_index);
+      options.worker_index = *shard_index;
       options.max_reclaims = max_reclaims;
       const std::size_t shard_count =
           shard_count_override != 0

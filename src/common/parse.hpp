@@ -7,6 +7,7 @@
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <type_traits>
 
 namespace sfab {
 
@@ -23,17 +24,19 @@ template <class T>
   return value;
 }
 
-/// `text` as the unsigned T of the command-line flag `flag`. A sign,
-/// whitespace, a base prefix, trailing characters or a value T cannot hold
-/// throws std::invalid_argument naming the flag — never a wrapped or
-/// truncated count.
+/// `text` as the T (an unsigned integer type or double) of the
+/// command-line flag `flag`. A sign on an unsigned T, whitespace, a '+', a
+/// base prefix, trailing characters or a value T cannot hold throws
+/// std::invalid_argument naming the flag — never a wrapped or truncated
+/// count. For double, "nan" and "inf" parse; the caller checks the range.
 template <class T>
-[[nodiscard]] T parse_unsigned_flag(const std::string& flag,
-                                    const std::string& text) {
+[[nodiscard]] T parse_flag(const std::string& flag, const std::string& text) {
   const std::optional<T> value = parse_number<T>(text);
   if (!value) {
-    throw std::invalid_argument(flag + " expects an unsigned integer, got '" +
-                                text + "'");
+    throw std::invalid_argument(
+        flag + " expects " +
+        (std::is_floating_point_v<T> ? "a number" : "an unsigned integer") +
+        ", got '" + text + "'");
   }
   return *value;
 }

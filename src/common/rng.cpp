@@ -81,15 +81,14 @@ void refill_lane_group(Rng* lanes, std::uint64_t* out) noexcept {
 
 }  // namespace
 
-LaneRngBlock::LaneRngBlock(std::uint64_t base_seed, unsigned words,
-                           std::uint64_t first_lane)
+LaneRngBlock::LaneRngBlock(std::uint64_t base_seed, unsigned words)
     : words_(words) {
   if (words < 1) {
     throw std::invalid_argument("LaneRngBlock: words must be >= 1");
   }
   lanes_.reserve(std::size_t{words} * kWordLanes);
   for (std::size_t j = 0; j < std::size_t{words} * kWordLanes; ++j) {
-    lanes_.emplace_back(derive_stream_seed(base_seed, first_lane + j));
+    lanes_.emplace_back(derive_stream_seed(base_seed, j));
   }
   pending_.assign(std::size_t{words} * kWordLanes, 0);
 }

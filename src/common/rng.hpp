@@ -151,25 +151,20 @@ class BitRng {
 /// W×64 independent, decorrelated random bit streams packed as a *lane
 /// block* of W words — the stimulus source for the bit-sliced gate-level
 /// engine (64–512 Monte-Carlo lanes per sweep). Bit b of word w is lane
-/// (64·w + b), and lane j draws the stream
-/// derive_stream_seed(base_seed, first_lane + j) — exactly the seed a
-/// BitRng reference of lane (first_lane + j) would use. Streams are
-/// therefore a pure function of the global lane index: a lane emits the
-/// identical bit sequence no matter which block width (or pass offset)
-/// processes it, which is what makes characterization results independent
-/// of the engine's block width. Each 64-lane word group transposes
-/// independently through a 64×64 bit transpose, so the amortized cost
-/// stays one raw xoshiro draw per lane per 64 blocks.
+/// (64·w + b), and lane j draws the stream derive_stream_seed(base_seed,
+/// j) — exactly the seed a BitRng reference of lane j would use. Streams
+/// are therefore a pure function of the lane index: a lane emits the
+/// identical bit sequence at every block width, which is what makes
+/// characterization results independent of the engine's block width.
+/// Each 64-lane word group transposes independently through a 64×64 bit
+/// transpose, so the amortized cost stays one raw xoshiro draw per lane
+/// per 64 blocks.
 class LaneRngBlock {
  public:
   static constexpr unsigned kWordLanes = 64;
 
-  /// `words` ≥ 1 words per block (64·words lanes). `first_lane` offsets the
-  /// global lane index of lane 0 — block passes over a wider lane
-  /// population hand each pass its own offset so every lane keeps its
-  /// global stream.
-  LaneRngBlock(std::uint64_t base_seed, unsigned words,
-               std::uint64_t first_lane = 0);
+  /// `words` ≥ 1 words per block (64·words lanes).
+  LaneRngBlock(std::uint64_t base_seed, unsigned words);
 
   [[nodiscard]] unsigned words() const noexcept { return words_; }
   [[nodiscard]] unsigned lanes() const noexcept {

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -262,8 +263,11 @@ void ShardLedger::Claim::release() noexcept {
 
 ShardLedger::ShardLedger(std::string dir, double stale_after_s)
     : dir_(std::move(dir)), stale_s_(stale_after_s) {
-  if (stale_s_ <= 0.0) {
-    throw std::invalid_argument("ShardLedger: stale_after_s must be > 0");
+  // NaN and +inf would make every claim look fresh forever, so an idle
+  // worker would wait on a dead owner without end.
+  if (!(stale_s_ > 0.0 && std::isfinite(stale_s_))) {
+    throw std::invalid_argument(
+        "ShardLedger: stale_after_s must be finite and > 0");
   }
   for (const char* sub :
        {"claims", "frags", "parts", "progress", "retries", "poison"}) {

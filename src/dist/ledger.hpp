@@ -106,7 +106,8 @@ class ShardLedger {
  public:
   /// Opens (creating if needed) the ledger rooted at `dir`. `stale_after_s`
   /// is how long a claim may go without a heartbeat before any worker may
-  /// break it; heartbeats fire every stale_after_s / 4. Opening also
+  /// break it (finite and > 0, else std::invalid_argument); heartbeats
+  /// fire every stale_after_s / 4. Opening also
   /// sweeps tombstones orphaned by a worker that crashed between the
   /// reclaim rename and the unlink.
   explicit ShardLedger(std::string dir, double stale_after_s = 30.0);

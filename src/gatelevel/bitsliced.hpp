@@ -8,8 +8,8 @@
 // characterization streams at the cost of roughly one scalar cycle — the
 // classic bit-parallel (PROOFS-style) widening of gate-level Monte Carlo,
 // generalized past one machine word so the inner loop can ride SIMD
-// registers (gatelevel/lane_kernels.hpp: portable / AVX2 / NEON, selected
-// at runtime via CPU feature detection).
+// registers (gatelevel/lane_kernels.hpp: portable / AVX2 / AVX-512,
+// selected at runtime via CPU feature detection).
 //
 // The active lane count may be ragged (not a multiple of 64): toggle
 // counting masks the dead tail lanes of the last word, so they contribute
@@ -18,8 +18,8 @@
 // at a time and energy accumulates as popcount * per-gate coefficient;
 // additionally every gate keeps an exact integer toggle counter
 // (op_toggle_counts / dff_toggle_counts) — order-free, so the counts are
-// bit-identical across block widths, kernels, and pass decompositions,
-// which is what lets characterize() produce engine-invariant energies.
+// bit-identical across block widths and kernels, which is what lets
+// characterize() produce engine-invariant energies.
 //
 // For correctness pinning, an optional per-lane accounting mode replays
 // the exact accumulation order of the reference scalar engine
@@ -48,8 +48,6 @@ class BitslicedNetlist {
   static constexpr unsigned kWordLanes = 64;  ///< lanes per uint64_t word
   static constexpr unsigned kMaxWords = 8;    ///< widest supported block
   static constexpr unsigned kMaxLanes = kWordLanes * kMaxWords;  // 512
-  /// Back-compat alias: the default (single-word) block width.
-  static constexpr unsigned kLanes = kWordLanes;
 
   /// Compiles the lane program from `source`, which must be finalized.
   /// The energy scale is captured at construction time. `lanes` is the
@@ -98,8 +96,8 @@ class BitslicedNetlist {
   // --- exact per-gate accounting (block-width-invariant) -------------------
 
   /// Per-op toggle counts since reset(), in program (level) order. Pure
-  /// integer accumulators: identical across block widths, kernels, and
-  /// sequential pass decompositions of the same lane population.
+  /// integer accumulators: identical across block widths and kernels for
+  /// the same lane population.
   [[nodiscard]] const std::vector<std::uint64_t>& op_toggle_counts()
       const noexcept {
     return op_toggles_;

@@ -12,7 +12,6 @@ std::string_view to_string(LaneKernel kernel) noexcept {
     case LaneKernel::kPortable: return "portable";
     case LaneKernel::kAvx2: return "avx2";
     case LaneKernel::kAvx512: return "avx512";
-    case LaneKernel::kNeon: return "neon";
   }
   return "?";
 }
@@ -26,8 +25,6 @@ bool lane_kernel_available(LaneKernel kernel) noexcept {
       return lane_sweep_avx2() != nullptr;
     case LaneKernel::kAvx512:
       return lane_sweep_avx512() != nullptr;
-    case LaneKernel::kNeon:
-      return lane_sweep_neon() != nullptr;
   }
   return false;
 }
@@ -36,7 +33,6 @@ LaneKernel resolve_lane_kernel(LaneKernel requested) {
   if (requested == LaneKernel::kAuto) {
     if (lane_sweep_avx512() != nullptr) return LaneKernel::kAvx512;
     if (lane_sweep_avx2() != nullptr) return LaneKernel::kAvx2;
-    if (lane_sweep_neon() != nullptr) return LaneKernel::kNeon;
     return LaneKernel::kPortable;
   }
   if (!lane_kernel_available(requested)) {
@@ -50,7 +46,6 @@ LaneSweepFn lane_sweep_fn(LaneKernel kernel) {
   switch (resolve_lane_kernel(kernel)) {
     case LaneKernel::kAvx2: return lane_sweep_avx2();
     case LaneKernel::kAvx512: return lane_sweep_avx512();
-    case LaneKernel::kNeon: return lane_sweep_neon();
     default: return lane_sweep_portable();
   }
 }

@@ -5,19 +5,20 @@
 // per op it evaluates the lanes, XORs against the stored block, popcounts
 // the masked diff, and accumulates toggles and energy. That inner loop is
 // pure word-parallel boolean algebra, so it widens onto AVX-512 (8 words
-// per 512-bit vector, in-register vpopcntq), AVX2 (4 words per 256-bit
-// vector) and NEON (2 words per 128-bit vector) without changing a
-// single observable: every kernel computes the same per-op integer flip
-// count and then executes the identical floating-point accumulation
-// sequence, so aggregate energy is bit-identical across kernels. The
-// portable scalar-word kernel is always available; the best ISA is picked
-// at runtime via CPU feature detection (kAuto).
+// per 512-bit vector, in-register vpopcntq) and AVX2 (4 words per 256-bit
+// vector) without changing a single observable: every kernel computes the
+// same per-op integer flip count and then executes the identical
+// floating-point accumulation sequence, so aggregate energy is
+// bit-identical across kernels. The portable scalar-word kernel is always
+// available and is built for the library's ISA baseline (x86-64-v2 on
+// x86-64, so its popcounts are POPCNT instructions); kAuto picks the
+// widest ISA the CPU supports.
 //
-// ISA-specific code lives in its own translation unit compiled with
-// per-TU flags (see CMakeLists.txt): lane_kernels_avx2.cpp gets -mavx2 and
-// lane_kernels_avx512.cpp gets -mavx512f -mavx512vpopcntdq on x86-64
-// toolchains that support them and each compiles to a stub elsewhere, so
-// the rest of the library never needs a global -march bump.
+// Each SIMD kernel lives in its own translation unit compiled with per-TU
+// flags on top of the baseline (see CMakeLists.txt):
+// lane_kernels_avx2.cpp gets -mavx2 and lane_kernels_avx512.cpp gets
+// -mavx512f -mavx512vpopcntdq on x86-64 toolchains that support them, and
+// each compiles to a stub elsewhere.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +33,6 @@ enum class LaneKernel : std::uint8_t {
   kPortable,  ///< scalar uint64_t words — always available, the reference
   kAvx2,      ///< 256-bit AVX2 words (x86-64, runtime-detected)
   kAvx512,    ///< 512-bit AVX-512F+VPOPCNTDQ words (x86-64, runtime-detected)
-  kNeon,      ///< 128-bit NEON words (aarch64)
 };
 
 [[nodiscard]] std::string_view to_string(LaneKernel kernel) noexcept;
@@ -78,6 +78,5 @@ using LaneSweepFn = std::uint64_t (*)(const LaneSweepProgram& program,
 [[nodiscard]] LaneSweepFn lane_sweep_portable() noexcept;
 [[nodiscard]] LaneSweepFn lane_sweep_avx2() noexcept;
 [[nodiscard]] LaneSweepFn lane_sweep_avx512() noexcept;
-[[nodiscard]] LaneSweepFn lane_sweep_neon() noexcept;
 
 }  // namespace sfab::gatelevel

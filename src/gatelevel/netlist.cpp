@@ -102,29 +102,6 @@ void Netlist::finalize() {
     }
   }
 
-  // CSR adjacency net -> combinational fanout gates, for the dirty-bit
-  // settle loop: a gate re-evaluates only when one of its inputs changed.
-  fanout_gate_offsets_.assign(fanout_.size() + 1, 0);
-  for (std::size_t i = 0; i < num_gates(); ++i) {
-    if (gate_types_[i] == GateType::kDff) continue;
-    for (const NetId in : gate_pins(i)) ++fanout_gate_offsets_[in + 1];
-  }
-  for (std::size_t n = 1; n < fanout_gate_offsets_.size(); ++n) {
-    fanout_gate_offsets_[n] += fanout_gate_offsets_[n - 1];
-  }
-  fanout_gates_.resize(fanout_gate_offsets_.back());
-  std::vector<std::uint32_t> fill = fanout_gate_offsets_;
-  for (std::size_t i = 0; i < num_gates(); ++i) {
-    if (gate_types_[i] == GateType::kDff) continue;
-    for (const NetId in : gate_pins(i)) {
-      fanout_gates_[fill[in]++] = static_cast<std::uint32_t>(i);
-    }
-  }
-  // Every gate starts dirty: net values are all zero but a gate's settled
-  // output for all-zero inputs may be one (NOT, NAND, ...), so the first
-  // step must evaluate everything — exactly what the pre-dirty-bit loop
-  // did.
-  dirty_.assign(num_gates(), 1);
   gate_toggles_.assign(num_gates(), 0);
 
   finalized_ = true;
@@ -134,11 +111,9 @@ void Netlist::reset() {
   if (!finalized_) throw std::logic_error("reset before finalize");
   std::fill(value_.begin(), value_.end(), 0);
   std::fill(dff_state_.begin(), dff_state_.end(), 0);
-  std::fill(dirty_.begin(), dirty_.end(), 1);  // re-settle from scratch
   std::fill(gate_toggles_.begin(), gate_toggles_.end(), 0);
   energy_j_ = 0.0;
   toggles_ = 0;
-  gate_evaluations_ = 0;
 }
 
 void Netlist::set_energy_scale(double scale) {
@@ -168,48 +143,33 @@ void Netlist::step(const std::vector<bool>& input_values) {
     if (value_[out] != static_cast<char>(q)) {
       value_[out] = static_cast<char>(q);
       charge_toggle(gi);
-      mark_fanout_dirty(out);
     }
   }
 
   // 2. Primary inputs (testbench drives these; their wire energy belongs to
   // the upstream driver, so no charge here).
   for (std::size_t k = 0; k < inputs_.size(); ++k) {
-    const char next = input_values[k] ? 1 : 0;
-    if (value_[inputs_[k]] != next) {
-      value_[inputs_[k]] = next;
-      mark_fanout_dirty(inputs_[k]);
-    }
+    value_[inputs_[k]] = input_values[k] ? 1 : 0;
   }
 
-  // 3. Combinational settle in topological order, skipping gates none of
-  // whose inputs changed since their last evaluation: an unchanged input
-  // mask evaluates to the unchanged output, so skipped gates contribute
-  // neither toggles nor energy — identical results, far fewer
-  // evaluations on stable netlists.
-  for (std::size_t gi : level_order_) {
-    if (!dirty_[gi]) continue;
-    dirty_[gi] = 0;
-    ++gate_evaluations_;
-    const NetId* pins = gate_pins_.data() + gate_pin_offsets_[gi];
-    const std::uint32_t pin_count =
-        gate_pin_offsets_[gi + 1] - gate_pin_offsets_[gi];
+  // 3. Combinational settle: every gate, in topological order.
+  for (const std::size_t gi : level_order_) {
     std::uint32_t in_mask = 0;
-    for (std::uint32_t pin = 0; pin < pin_count; ++pin) {
-      in_mask |= static_cast<std::uint32_t>(value_[pins[pin]] != 0) << pin;
+    std::uint32_t pin = 0;
+    for (const NetId net : gate_pins(gi)) {
+      in_mask |= static_cast<std::uint32_t>(value_[net] != 0) << pin++;
     }
     const bool out = evaluate(gate_types_[gi], in_mask);
     const NetId out_net = gate_outs_[gi];
     if (value_[out_net] != static_cast<char>(out)) {
       value_[out_net] = static_cast<char>(out);
       charge_toggle(gi);
-      mark_fanout_dirty(out_net);
     }
   }
 
   // 4. DFFs capture D for the next cycle.
   for (std::size_t k = 0; k < dffs_.size(); ++k) {
-    dff_state_[k] = value_[gate_pins_[gate_pin_offsets_[dffs_[k]]]];
+    dff_state_[k] = value_[gate_pins(dffs_[k])[0]];
   }
 }
 

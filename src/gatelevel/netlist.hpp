@@ -7,12 +7,13 @@
 // bit-energy LUT characterization needs; glitch power is outside this
 // model's scope and is absorbed by the calibration factor).
 //
-// Gate storage is structure-of-arrays with one shared CSR pin array: the
-// scalar settle loop walks flat contiguous memory instead of chasing a
-// heap-allocated pin vector per gate, and the 64-lane bit-sliced engine
-// (gatelevel/bitsliced.hpp) compiles its lane program straight from the
-// same arrays. This class remains the reference scalar engine that the
-// bit-sliced engine is pinned against lane-for-lane.
+// Gate storage is structure-of-arrays with one shared CSR pin array, and
+// the bit-sliced engine (gatelevel/bitsliced.hpp) compiles its lane
+// program straight from the same arrays. This class is the reference
+// scalar engine that the bit-sliced engine is pinned against
+// lane-for-lane; it only runs in tests and the kScalar characterization
+// engine, so it favours plain code over speed: every step evaluates every
+// combinational gate in level order.
 #pragma once
 
 #include <cstdint>
@@ -106,15 +107,6 @@ class Netlist {
     return gate_toggles_;
   }
 
-  /// Combinational gate evaluations since reset(). With the dirty-bit
-  /// settle loop this is typically far below num_gates() * steps: a gate
-  /// is only re-evaluated when one of its input nets changed, which cannot
-  /// change toggle counts or energy (an unchanged input mask implies an
-  /// unchanged output).
-  [[nodiscard]] std::uint64_t gate_evaluations() const noexcept {
-    return gate_evaluations_;
-  }
-
   /// Global energy scale (technology factor), default 1.0; applied to all
   /// gate coefficients. Set before simulating.
   void set_energy_scale(double scale);
@@ -125,14 +117,6 @@ class Netlist {
 
  private:
   void charge_toggle(std::size_t gate);
-
-  /// Marks every combinational gate fed by `net` for re-evaluation.
-  void mark_fanout_dirty(NetId net) {
-    for (std::uint32_t k = fanout_gate_offsets_[net];
-         k < fanout_gate_offsets_[net + 1]; ++k) {
-      dirty_[fanout_gates_[k]] = 1;
-    }
-  }
 
   // Gate storage: structure-of-arrays + CSR pin list (index = gate id).
   std::vector<GateType> gate_types_;
@@ -148,15 +132,10 @@ class Netlist {
   std::vector<std::size_t> level_order_;  // combinational gates, topo order
   std::vector<std::size_t> dffs_;       // gate indices
   std::vector<char> dff_state_;         // latched Q per DFF
-  // CSR net -> combinational fanout gates, for the dirty-bit settle loop.
-  std::vector<std::uint32_t> fanout_gate_offsets_;
-  std::vector<std::uint32_t> fanout_gates_;
-  std::vector<char> dirty_;             // per gate: inputs may have changed
   double energy_scale_ = 1.0;
   double energy_j_ = 0.0;
   std::uint64_t toggles_ = 0;
   std::vector<std::uint64_t> gate_toggles_;  // per gate id, since reset()
-  std::uint64_t gate_evaluations_ = 0;
   bool finalized_ = false;
 };
 

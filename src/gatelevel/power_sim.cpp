@@ -23,8 +23,8 @@ std::vector<std::uint32_t> all_masks(unsigned ports) {
 namespace {
 
 /// The Monte-Carlo sample a config defines: `lanes` streams, each measured
-/// `steps` cycles. A pure function of the config — every engine, block
-/// width, and kernel processes exactly this sample.
+/// `steps` cycles. A pure function of the config — every engine and
+/// kernel processes exactly this sample.
 struct SampleGrid {
   unsigned lanes = 0;
   std::uint64_t steps = 0;
@@ -74,7 +74,7 @@ std::uint64_t checked_idle_lane_cycles(std::size_t num_dffs,
 /// counts in latch order, then per-op toggle counts in program order, each
 /// multiplied by its coefficient. Counts are exact integers, so any
 /// processing that measures the same sample reduces to the same double —
-/// this is the engine/block-width/kernel invariance contract.
+/// this is the engine/kernel invariance contract.
 double reduce_exact_energy(const BitslicedNetlist& program,
                            std::uint64_t idle_lane_cycles,
                            const std::vector<std::uint64_t>& dff_deltas,
@@ -97,102 +97,62 @@ struct DriveMeasurer {
   virtual double energy_per_cycle(const MaskDrive& drive) = 0;
 };
 
-/// Fast path: the multi-word bit-sliced engine advances block_lanes lanes
-/// per sweep, covering the lane population in sequential passes. Lane
-/// streams are a function of the global lane index (LaneRngBlock's
-/// first_lane offset), so the pass decomposition is invisible in the
-/// per-gate toggle counts.
+/// Fast path: the multi-word bit-sliced engine advances the whole lane
+/// population (at most 512 lanes, one block) per sweep. The engine
+/// compiles the lane program once and is reused per mask.
 class BitslicedMeasurer final : public DriveMeasurer {
  public:
   BitslicedMeasurer(SwitchHarness& harness,
                     const CharacterizationConfig& config)
-      : config_(config), grid_(grid_of(config)) {
-    const unsigned block = config.block_lanes == 0
-                               ? BitslicedNetlist::kMaxLanes
-                               : config.block_lanes;
-    if (block % BitslicedNetlist::kWordLanes != 0 ||
-        block > BitslicedNetlist::kMaxLanes) {
-      throw std::invalid_argument(
-          "characterize: block_lanes must be a multiple of 64 in [64, 512]");
-    }
-    for (unsigned first = 0; first < grid_.lanes; first += block) {
-      passes_.push_back({first, std::min(block, grid_.lanes - first)});
-    }
-    for (const Pass& pass : passes_) {
-      if (engine_for(pass.lanes) == nullptr) {
-        engines_.emplace_back(
-            pass.lanes,
-            BitslicedNetlist(harness.netlist, pass.lanes, config.kernel));
-      }
-    }
-    checked_idle_lane_cycles(engines_.front().second.num_dffs(), grid_);
+      : config_(config),
+        grid_(grid_of(config)),
+        engine_(harness.netlist, grid_.lanes, config.kernel) {
+    checked_idle_lane_cycles(engine_.num_dffs(), grid_);
   }
 
   double energy_per_cycle(const MaskDrive& drive) override {
-    BitslicedNetlist& program = engines_.front().second;
-    std::vector<std::uint64_t> op_deltas(program.op_coeffs().size(), 0);
-    std::vector<std::uint64_t> dff_deltas(program.num_dffs(), 0);
+    const unsigned words = engine_.words();
+    engine_.reset();
+    LaneRngBlock rng(config_.seed, words);
+    std::vector<std::uint64_t> blocks(engine_.num_inputs() * words, 0);
 
-    for (const Pass& pass : passes_) {
-      BitslicedNetlist& engine = *engine_for(pass.lanes);
-      const unsigned words = engine.words();
-      engine.reset();
-      LaneRngBlock rng(config_.seed, words, pass.first_lane);
-      std::vector<std::uint64_t> blocks(engine.num_inputs() * words, 0);
-
-      const auto drive_step = [&] {
-        std::fill(blocks.begin(), blocks.end(), 0);
-        for (const auto& [pin, active] : drive.forced) {
-          const std::uint64_t value = active ? ~std::uint64_t{0} : 0;
-          for (unsigned w = 0; w < words; ++w) blocks[pin * words + w] = value;
-        }
-        for (const std::size_t pin : drive.random) {
-          rng.next_block(blocks.data() + pin * words);
-        }
-        engine.step(blocks);
-      };
-
-      for (unsigned c = 0; c < config_.warmup; ++c) drive_step();
-      const std::vector<std::uint64_t> op_base = engine.op_toggle_counts();
-      const std::vector<std::uint64_t> dff_base = engine.dff_toggle_counts();
-      for (std::uint64_t c = 0; c < grid_.steps; ++c) drive_step();
-      const auto& op_now = engine.op_toggle_counts();
-      const auto& dff_now = engine.dff_toggle_counts();
-      for (std::size_t g = 0; g < op_deltas.size(); ++g) {
-        op_deltas[g] += op_now[g] - op_base[g];
+    const auto drive_step = [&] {
+      std::fill(blocks.begin(), blocks.end(), 0);
+      for (const auto& [pin, active] : drive.forced) {
+        const std::uint64_t value = active ? ~std::uint64_t{0} : 0;
+        for (unsigned w = 0; w < words; ++w) blocks[pin * words + w] = value;
       }
-      for (std::size_t k = 0; k < dff_deltas.size(); ++k) {
-        dff_deltas[k] += dff_now[k] - dff_base[k];
+      for (const std::size_t pin : drive.random) {
+        rng.next_block(blocks.data() + pin * words);
       }
+      engine_.step(blocks);
+    };
+
+    for (unsigned c = 0; c < config_.warmup; ++c) drive_step();
+    std::vector<std::uint64_t> op_deltas = engine_.op_toggle_counts();
+    std::vector<std::uint64_t> dff_deltas = engine_.dff_toggle_counts();
+    for (std::uint64_t c = 0; c < grid_.steps; ++c) drive_step();
+    const auto& op_now = engine_.op_toggle_counts();
+    const auto& dff_now = engine_.dff_toggle_counts();
+    for (std::size_t g = 0; g < op_deltas.size(); ++g) {
+      op_deltas[g] = op_now[g] - op_deltas[g];
+    }
+    for (std::size_t k = 0; k < dff_deltas.size(); ++k) {
+      dff_deltas[k] = dff_now[k] - dff_deltas[k];
     }
 
     const std::uint64_t lane_cycles =
         std::uint64_t{grid_.lanes} * grid_.steps;
     const double energy = reduce_exact_energy(
-        program, checked_idle_lane_cycles(program.num_dffs(), grid_),
+        engine_, checked_idle_lane_cycles(engine_.num_dffs(), grid_),
         dff_deltas, op_deltas);
     return energy / static_cast<double>(lane_cycles);
   }
 
  private:
-  struct Pass {
-    std::uint64_t first_lane = 0;
-    unsigned lanes = 0;
-  };
-
-  BitslicedNetlist* engine_for(unsigned lanes) {
-    for (auto& [n, engine] : engines_) {
-      if (n == lanes) return &engine;
-    }
-    return nullptr;
-  }
-
   CharacterizationConfig config_;
   SampleGrid grid_;
-  std::vector<Pass> passes_;
-  // Engines keyed by pass lane count (at most two: full block + ragged
-  // tail); each compiles the lane program once and is reused per mask.
-  std::vector<std::pair<unsigned, BitslicedNetlist>> engines_;
+  BitslicedNetlist engine_;
 };
 
 /// Reference path: the scalar engine driven lane by lane with the exact

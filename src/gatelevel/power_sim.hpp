@@ -12,17 +12,15 @@
 // warmed `warmup` cycles and measured ceil(cycles / lanes) cycles. Engines
 // only decide how that sample is processed:
 //  * kBitsliced (default): the multi-word bit-sliced engine
-//    (gatelevel/bitsliced.hpp) advances `block_lanes` lanes per levelized
-//    sweep (default: the widest supported block, 512), covering the
-//    population in sequential passes when block_lanes < lanes, with the
-//    SIMD kernel picked at runtime (config.kernel).
+//    (gatelevel/bitsliced.hpp) advances all `lanes` lanes (at most 512,
+//    one lane block) per levelized sweep, with the SIMD kernel picked at
+//    runtime (config.kernel).
 //  * kScalar: the original one-boolean-per-net reference engine, driven
 //    lane by lane with the identical bit streams (BitRng).
 // Per-mask energy is reduced from exact integer per-gate toggle counts in
 // a canonical order, so characterize() results are bit-identical across
-// engines, block widths, kernels, and worker-thread counts — the fast
-// path is pinned to the reference not just statistically but double for
-// double. Masks are independent samples, so characterize() can fan them
+// engines, kernels, and worker-thread counts — the fast path is pinned to
+// the reference not just statistically but double for double. Masks are independent samples, so characterize() can fan them
 // out across a worker pool (config.threads), one private engine per
 // worker, results written back in canonical mask order.
 #pragma once
@@ -54,12 +52,8 @@ struct CharacterizationConfig {
   CharacterizeEngine engine = CharacterizeEngine::kBitsliced;
   /// Monte-Carlo lane population per mask (1..512); 0 = the widest
   /// supported block (512). This defines the sample — results depend on
-  /// it, never on the engine/block/kernel processing choices below.
+  /// it, never on the engine/kernel processing choices below.
   unsigned lanes = 0;
-  /// kBitsliced: lanes advanced per sweep (multiple of 64, up to 512);
-  /// 0 = widest. Narrower blocks process the population in sequential
-  /// passes — same result, more passes.
-  unsigned block_lanes = 0;
   /// kBitsliced: sweep ISA (kAuto = best the CPU supports).
   LaneKernel kernel = LaneKernel::kAuto;
   /// Worker threads across occupancy masks (masks are independent samples,

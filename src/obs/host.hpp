@@ -1,6 +1,8 @@
 // Host metadata for benchmark provenance: a benchmark record (perfbench's
 // result JSON) is only interpretable across machines when it says what
-// machine and kernel selection produced it.
+// machine and kernels produced it. The gate-level kernel is picked at run
+// time from the CPU; the packet engine's is fixed when the library is
+// compiled (see lane_sim_kernel_name()).
 #pragma once
 
 #include <iosfwd>
@@ -12,7 +14,7 @@ struct HostInfo {
   std::string cpu_model;        ///< from /proc/cpuinfo; "unknown" elsewhere
   unsigned logical_cores = 0;   ///< std::thread::hardware_concurrency
   std::string gate_lane_kernel;    ///< dispatched gatelevel kernel name
-  std::string packet_lane_kernel;  ///< dispatched packet-engine kernel name
+  std::string packet_lane_kernel;  ///< compiled packet-engine kernel name
 };
 
 /// Probes the current host (cached after the first call).

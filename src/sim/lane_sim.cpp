@@ -1,6 +1,7 @@
 #include "sim/lane_sim.hpp"
 
 #include <array>
+#include <cmath>
 #include <string>
 
 #include "common/bitops.hpp"
@@ -105,13 +106,18 @@ LaneFallbackReason lane_sim_fallback_reason(const SimConfig& c) noexcept {
       }
       break;
     case TrafficPatternKind::kBursty:
-      if (!(c.mean_burst_cycles >= 1.0)) return R::kPattern;
+      if (!(c.mean_burst_cycles >= 1.0 &&
+            std::isfinite(c.mean_burst_cycles))) {
+        return R::kPattern;
+      }
       break;
     default:
       return R::kPattern;
   }
   if (c.pattern == TrafficPatternKind::kBursty) {
-    if (!(rate >= 0.0)) return R::kRate;
+    // Any finite rate runs (the on-rate saturates at 1); NaN and +inf go
+    // to the reference, which rejects them.
+    if (!(rate >= 0.0 && std::isfinite(rate))) return R::kRate;
   } else {
     if (!(rate >= 0.0 && rate <= 1.0)) return R::kRate;
   }
@@ -173,19 +179,6 @@ bool lane_sim_supported(const SimConfig& c) noexcept {
   return lane_sim_fallback_reason(c) == LaneFallbackReason::kNone;
 }
 
-namespace {
-
-/// The POPCNT engine when it was built and the running CPU has POPCNT,
-/// nullptr otherwise.
-detail::EngineFn popcnt_engine() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  if (__builtin_cpu_supports("popcnt")) return detail::engine_popcnt();
-#endif
-  return nullptr;
-}
-
-}  // namespace
-
 SimResult run_simulation(const SimConfig& config) {
   return run_simulation(config, nullptr);
 }
@@ -231,17 +224,18 @@ SimResult run_simulation(const SimConfig& config, obs::SimObserver* observer) {
     fallback_reasons[static_cast<std::size_t>(reason)]->increment();
     return run_reference_simulation(config, observer);
   }
-  static const detail::EngineFn engine = popcnt_engine() != nullptr
-                                             ? popcnt_engine()
-                                             : detail::engine_portable();
-  const SimResult result = engine(config);
+  const SimResult result = detail::simulate(config);
   laned_passes.increment();
   laned_lanes.increment();
   return result;
 }
 
 std::string_view lane_sim_kernel_name() noexcept {
-  return popcnt_engine() != nullptr ? "popcnt" : "portable";
+#if defined(__POPCNT__)
+  return "popcnt";
+#else
+  return "portable";
+#endif
 }
 
 }  // namespace sfab

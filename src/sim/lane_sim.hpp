@@ -1,7 +1,8 @@
 // The packet engine: the production simulator behind run_simulation, and
 // through it replicate() and every SweepRunner unit. One call runs one
 // SimConfig under its own seed (config.seed); replicates are repeated
-// calls under derived seeds.
+// calls under derived seeds. The engine is one translation unit
+// (lane_sim_engine.cpp), compiled once for the library's ISA baseline.
 //
 // Its speed comes from a leaner design than the reference
 // Router/SwitchFabric objects: router state kept as mask words (VOQ
@@ -74,8 +75,9 @@ enum class LaneFallbackReason {
 /// Equivalent to lane_sim_fallback_reason() == kNone.
 [[nodiscard]] bool lane_sim_supported(const SimConfig& config) noexcept;
 
-/// Name of the packet-engine kernel runtime dispatch selects on this
-/// build + CPU ("popcnt" or "portable"); benchmark provenance.
+/// How this build compiled the packet engine's popcounts: "popcnt" when
+/// the ISA baseline has the instruction (x86-64-v2 does), "portable"
+/// otherwise. A compile-time constant; benchmark provenance.
 [[nodiscard]] std::string_view lane_sim_kernel_name() noexcept;
 
 }  // namespace sfab

@@ -1,6 +1,7 @@
 #include "traffic/generator.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "common/bitops.hpp"
@@ -56,7 +57,7 @@ HotspotPattern::HotspotPattern(unsigned ports, PortId hot_port,
     : ports_(ports), hot_port_(hot_port), hot_fraction_(hot_fraction) {
   if (ports < 2) throw std::invalid_argument("HotspotPattern: ports >= 2");
   if (hot_port >= ports) throw std::invalid_argument("HotspotPattern: bad port");
-  if (hot_fraction < 0.0 || hot_fraction > 1.0) {
+  if (!(hot_fraction >= 0.0 && hot_fraction <= 1.0)) {
     throw std::invalid_argument("HotspotPattern: fraction in [0,1]");
   }
 }
@@ -73,7 +74,7 @@ PortId HotspotPattern::pick(PortId source, Rng& rng) {
 
 BernoulliArrival::BernoulliArrival(double packets_per_cycle)
     : rate_(packets_per_cycle) {
-  if (rate_ < 0.0 || rate_ > 1.0) {
+  if (!(rate_ >= 0.0 && rate_ <= 1.0)) {
     throw std::invalid_argument("BernoulliArrival: rate in [0,1]");
   }
 }
@@ -88,11 +89,11 @@ BurstyArrival::BurstyArrival(unsigned ports, double on_rate,
       p_on_off_(p_on_to_off),
       p_off_on_(p_off_to_on),
       state_on_(ports, 0) {
-  if (on_rate < 0.0 || on_rate > 1.0) {
+  if (!(on_rate >= 0.0 && on_rate <= 1.0)) {
     throw std::invalid_argument("BurstyArrival: on_rate in [0,1]");
   }
-  if (p_on_to_off <= 0.0 || p_on_to_off > 1.0 || p_off_to_on <= 0.0 ||
-      p_off_to_on > 1.0) {
+  if (!(p_on_to_off > 0.0 && p_on_to_off <= 1.0 && p_off_to_on > 0.0 &&
+        p_off_to_on <= 1.0)) {
     throw std::invalid_argument("BurstyArrival: transition probs in (0,1]");
   }
 }
@@ -191,8 +192,12 @@ TrafficGenerator TrafficGenerator::bursty_uniform(unsigned ports,
                                                   double mean_burst_cycles,
                                                   std::uint64_t seed,
                                                   PayloadKind payload) {
-  if (mean_burst_cycles < 1.0) {
+  if (!(mean_burst_cycles >= 1.0)) {
     throw std::invalid_argument("bursty_uniform: burst length >= 1 cycle");
+  }
+  if (!(offered_load >= 0.0 && std::isfinite(offered_load))) {
+    throw std::invalid_argument(
+        "bursty_uniform: offered load must be finite and >= 0");
   }
   // Choose on/off probabilities so the long-run packet rate matches
   // offered_load / packet_words with a 50 % duty cycle scaled as needed.

@@ -35,7 +35,7 @@ enum class PayloadKind {
 
 /// Fills a packet's word block in place: words[0] = header (destination),
 /// the rest payload of the given kind. Shared by PacketFactory and the
-/// packet engine (sim/lane_sim_engine.ipp) so both draw payload bits in
+/// packet engine (sim/lane_sim_engine.cpp) so both draw payload bits in
 /// the identical order. Inline: this runs once per generated packet.
 inline void fill_packet_words(Word* words, std::uint32_t total_words,
                               PortId dest, PayloadKind kind,

@@ -24,7 +24,7 @@
 namespace sfab::gatelevel {
 namespace {
 
-constexpr unsigned kLanes = BitslicedNetlist::kLanes;
+constexpr unsigned kLanes = BitslicedNetlist::kWordLanes;
 
 /// Drives `harness` for `steps` cycles under `mask` with the bit-sliced
 /// engine at `lanes` Monte-Carlo lanes (lane accounting on), then replays

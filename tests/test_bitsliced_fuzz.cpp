@@ -171,8 +171,7 @@ TEST(BitslicedFuzz, SimdKernelMatchesPortableBitForBit) {
   // differentially tests its AVX2 kernel (and vice versa nothing is
   // silently skipped when kAuto prefers the wider ISA).
   std::vector<LaneKernel> kernels;
-  for (const LaneKernel kernel :
-       {LaneKernel::kAvx2, LaneKernel::kAvx512, LaneKernel::kNeon}) {
+  for (const LaneKernel kernel : {LaneKernel::kAvx2, LaneKernel::kAvx512}) {
     if (lane_kernel_available(kernel)) kernels.push_back(kernel);
   }
   if (kernels.empty()) {

@@ -180,21 +180,6 @@ TEST(LaneRngBlock, LaneStreamInvariantUnderWidthChanges) {
   }
 }
 
-TEST(LaneRngBlock, FirstLaneOffsetsTheGlobalLaneIndex) {
-  // Pass g over a wider population hands LaneRngBlock first_lane = g·B;
-  // lane j of that block must be global lane (g·B + j)'s stream.
-  constexpr std::uint64_t kSeed = 0x0FF5E7;
-  LaneRngBlock full{kSeed, 4};       // lanes 0..255
-  LaneRngBlock tail{kSeed, 2, 128};  // lanes 128..255
-  std::vector<std::uint64_t> f(4), t(2);
-  for (unsigned step = 0; step < 80; ++step) {
-    full.next_block(f.data());
-    tail.next_block(t.data());
-    ASSERT_EQ(t[0], f[2]) << "block " << step;
-    ASSERT_EQ(t[1], f[3]) << "block " << step;
-  }
-}
-
 TEST(LaneRngBlock, LanesAreDistinctAndBalancedAcrossWords) {
   // Cross-lane independence at the widest block: every one of the 512
   // lanes is a fair coin and no two lanes emit the same 192-bit column.

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -158,6 +159,15 @@ TEST_F(DistTest, ClaimsAreExclusiveUntilReleased) {
   first->release();
   EXPECT_TRUE(ledger.try_claim(0, "worker-b").has_value())
       << "released claim must be claimable again";
+}
+
+TEST_F(DistTest, StaleAfterMustBeFiniteAndPositive) {
+  // A NaN or infinite timeout never expires a claim, so a dead owner's
+  // shard would hold the sweep forever; the ledger refuses to open.
+  for (const double bad : {-1.0, 0.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(dist::ShardLedger(dir_, bad), std::invalid_argument) << bad;
+  }
 }
 
 TEST_F(DistTest, HeartbeatKeepsAClaimFreshAndDeathMakesItStale) {

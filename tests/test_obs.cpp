@@ -279,6 +279,11 @@ TEST(HostInfo, JsonNamesTheMachineAndTheDispatchedKernels) {
                       std::string(lane_sim_kernel_name()) + "\""),
             std::string::npos)
       << json;
+#if defined(__x86_64__)
+  // The x86-64-v2 baseline guarantees POPCNT; a build that lost the flag
+  // would silently run the slower bit-hack popcounts.
+  EXPECT_EQ(lane_sim_kernel_name(), "popcnt");
+#endif
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include "sim/report.hpp"
 #include "sim/simulation.hpp"
 
+#include <limits>
 #include <sstream>
 
 namespace sfab {
@@ -200,6 +201,35 @@ TEST(Simulation, InvalidConfigRejected) {
   SimConfig c = quick(Architecture::kCrossbar, 8, 0.3);
   c.measure_cycles = 0;
   EXPECT_THROW((void)run_simulation(c), std::invalid_argument);
+}
+
+TEST(Simulation, NonFiniteTrafficParametersRejected) {
+  // A NaN rate passes `rate < 0 || rate > 1`, and std::min(1.0, x) turns
+  // NaN and +inf into an on-rate of 1: each used to run silently. Both
+  // entry points must throw instead.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* name;
+    TrafficPatternKind pattern;
+    double load;
+    double mean_burst_cycles;
+  };
+  const Case cases[] = {
+      {"uniform load nan", TrafficPatternKind::kUniform, kNaN, 8.0},
+      {"bursty load nan", TrafficPatternKind::kBursty, kNaN, 8.0},
+      {"bursty load inf", TrafficPatternKind::kBursty, kInf, 8.0},
+      {"bursty burst nan", TrafficPatternKind::kBursty, 0.3, kNaN},
+      {"bursty burst inf", TrafficPatternKind::kBursty, 0.3, kInf},
+  };
+  for (const Case& k : cases) {
+    SimConfig c = quick(Architecture::kCrossbar, 8, k.load);
+    c.pattern = k.pattern;
+    c.mean_burst_cycles = k.mean_burst_cycles;
+    EXPECT_THROW((void)run_simulation(c), std::invalid_argument) << k.name;
+    EXPECT_THROW((void)run_reference_simulation(c), std::invalid_argument)
+        << k.name;
+  }
 }
 
 // --- report formatting -------------------------------------------------------------
