@@ -359,7 +359,12 @@ int main(int argc, char** argv) {
         });
       } else if (flag == "--load") {
         spec.loads = parse_list<double>(next(), [&](const std::string& s) {
-          return parse_flag<double>(flag, s);
+          const double load = parse_flag<double>(flag, s);
+          if (!(load >= 0.0 && std::isfinite(load))) {
+            throw std::invalid_argument(
+                "--load must be a finite number >= 0, got '" + s + "'");
+          }
+          return load;
         });
       } else if (flag == "--pattern") {
         spec.patterns = parse_list<TrafficPatternKind>(
@@ -375,7 +380,7 @@ int main(int argc, char** argv) {
       } else if (flag == "--tech") {
         spec.tech_nodes = split_list(next());
         // Validate at parse time: an unknown node would otherwise surface
-        // as a generic exception + full usage dump when the sweep expands.
+        // only when the sweep expands, without the list of valid presets.
         for (const std::string& node : spec.tech_nodes) {
           try {
             (void)TechnologyParams::preset(node);
@@ -398,7 +403,11 @@ int main(int argc, char** argv) {
       } else if (flag == "--packet-words") {
         spec.packet_words =
             parse_list<unsigned>(next(), [&](const std::string& s) {
-              return parse_flag<unsigned>(flag, s);
+              const auto words = parse_flag<unsigned>(flag, s);
+              if (words == 0) {
+                throw std::invalid_argument("--packet-words must be >= 1");
+              }
+              return words;
             });
       } else if (flag == "--replicates") {
         spec.replicates = parse_flag<unsigned>(flag, next());
@@ -465,7 +474,14 @@ int main(int argc, char** argv) {
         throw std::invalid_argument("unknown option " + flag);
       }
     }
+  } catch (const std::exception& error) {
+    // Only a command line that does not parse gets the usage text.
+    std::cerr << "sfab_cli: " << error.what() << "\n\n";
+    print_usage();
+    return 1;
+  }
 
+  try {
     // --- merge-only: reassemble a completed shard directory ---------------
     if (merge_mode) {
       if (shard_dir.empty()) {
@@ -638,8 +654,7 @@ int main(int argc, char** argv) {
                  std::to_string(pool) + " threads");
     print_cache_summary();
   } catch (const std::exception& error) {
-    std::cerr << "sfab_cli: " << error.what() << "\n\n";
-    print_usage();
+    std::cerr << "sfab_cli: " << error.what() << '\n';
     return 1;
   }
   return 0;

@@ -75,19 +75,12 @@ LaneFallbackReason lane_sim_fallback_reason(const SimConfig& c) noexcept {
     return R::kQueue;
   }
   if (c.measure_cycles == 0) return R::kMeasure;  // the reference throws
-  // The staged fabrics stamp flits with 32-bit injection cycles and
-  // (Batcher-Banyan) 32-bit packet ids. Bound the cycle horizon so neither
-  // can wrap: ids advance at most `ports` per cycle. Scalar runs at these
-  // horizons take hours, so real sweeps never hit this.
-  if (c.arch == Architecture::kBatcherBanyan ||
-      c.arch == Architecture::kBanyan || c.arch == Architecture::kMesh) {
-    const std::uint64_t horizon =
-        std::uint64_t{c.warmup_cycles} + c.measure_cycles;
-    if (horizon >= (std::uint64_t{1} << 30) ||
-        (c.arch == Architecture::kBatcherBanyan &&
-         horizon * c.ports >= (std::uint64_t{1} << 31))) {
-      return R::kMeasure;
-    }
+  // Every fabric stamps its flits with 32-bit injection cycles. Bound the
+  // cycle horizon so they cannot wrap. Scalar runs at these horizons take
+  // hours, so real sweeps never hit this.
+  if (std::uint64_t{c.warmup_cycles} + c.measure_cycles >=
+      (std::uint64_t{1} << 30)) {
+    return R::kMeasure;
   }
 
   // Configurations the reference constructors reject run through the
@@ -125,22 +118,16 @@ LaneFallbackReason lane_sim_fallback_reason(const SimConfig& c) noexcept {
   // State footprint of one run, capped at ~512 MB; larger configs run on
   // the reference. The ingress front keeps capacity(+1) packet slots per
   // bank (a granted packet streams out of its slot until the tail leaves);
-  // the fused engines add their energy LUTs + deferred event buffer, the
-  // staged fabrics their per-stage link/wire planes (and, for banyan and
-  // mesh, the node-FIFO ring planes).
+  // the multi-hop fabrics add their per-stage link/wire planes (and, for
+  // banyan and mesh, the node-FIFO ring planes). The single-hop stage's
+  // fixed 64-slot arrays live in the engine object itself.
   const std::uint64_t banks = c.ports;
   const std::uint64_t slots = banks * (c.ingress_queue_packets + 1);
   std::uint64_t bytes = slots * c.packet_words * sizeof(Word) +
                         slots * 16 + banks * c.ports * 8;
-  const std::uint64_t bw1 = std::uint64_t{c.tech.bus_width} + 1;
-  if (bw1 > (std::uint64_t{1} << 20)) return R::kFootprint;
   switch (c.arch) {
     case Architecture::kCrossbar:
-      // Pair LUT [(bw+1)^2 doubles] + event buffer + polarity.
-      bytes += bw1 * bw1 * 8 + 4096 * 4 + 2 * banks * 4;
-      break;
     case Architecture::kFullyConnected:
-      bytes += bw1 * 8 + 4096 * 4 + banks * 4;
       break;
     case Architecture::kBatcherBanyan: {
       const std::uint64_t d = log2_exact(c.ports);

@@ -7,23 +7,21 @@
 // Its speed comes from a leaner design than the reference
 // Router/SwitchFabric objects: router state kept as mask words (VOQ
 // occupancy rows, iSLIP request/grant/accept masks, streaming and
-// availability masks), flat port-indexed arrays, and a deferred energy
-// ledger. Each run reproduces run_reference_simulation's SimResult bit for
-// bit: same draws in the same order, same floating-point accumulation
-// order per accumulator.
+// availability masks) and flat port-indexed arrays. Each run reproduces
+// run_reference_simulation's SimResult bit for bit: same draws in the
+// same order, same floating-point accumulation order per accumulator.
 //
-// Coverage: every (architecture, scheme) cell of the sweep grid —
-// crossbar and fully-connected through the fused single-hop engine,
-// Batcher-Banyan, banyan and mesh through the staged multi-hop engine,
-// each behind either the VOQ/iSLIP or the FIFO/HOL ingress front, for
-// every traffic pattern. Configurations outside that envelope (> 64
-// ports, a non-square mesh, oversized state footprints, observed runs,
-// configs the reference constructors reject) run on
-// run_reference_simulation behind the same run_simulation call, so
-// callers never branch on support; lane_sim_fallback_reason() names why
-// a config falls back and the sim.lane.fallback.* counters tally each
-// reason. (The lane_sim names date from when one call ran several
-// replicates as lanes.)
+// Coverage: every (architecture, scheme) cell of the sweep grid — one
+// engine loop over a staged fabric (one stage for crossbar and
+// fully-connected; Batcher-Banyan, banyan and mesh stages), behind either
+// the VOQ/iSLIP or the FIFO/HOL ingress front, for every traffic
+// pattern. Configurations outside that envelope (> 64 ports, a non-square
+// mesh, oversized state footprints, observed runs, configs the reference
+// constructors reject) run on run_reference_simulation behind the same
+// run_simulation call, so callers never branch on support;
+// lane_sim_fallback_reason() names why a config falls back and the
+// sim.lane.fallback.* counters tally each reason. (The lane_sim names date
+// from when one call ran several replicates as lanes.)
 #pragma once
 
 #include <string_view>

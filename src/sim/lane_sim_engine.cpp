@@ -10,30 +10,17 @@
 // Bit-exactness contract (versus run_reference_simulation): a run performs
 // the same random draws in the same order and the same floating-point adds
 // in the same per-accumulator order as run_reference_simulation(config).
+// Every fabric's tick keeps its energy accumulators in registers for the
+// tick and writes them back once; the adds themselves keep the scalar
+// order.
 //
-// Coverage: every (architecture, scheme) cell of the sweep grid —
-// crossbar and fully-connected through the fused single-hop engine,
-// Batcher-Banyan, banyan and mesh through the staged multi-hop engine,
-// each behind either a VOQ/iSLIP or a FIFO/HOL ingress front. Any config
-// rejected by lane_sim_supported() runs on the reference (see
+// Coverage: every (architecture, scheme) cell of the sweep grid. One
+// engine, Engine<Fabric, Front>, drives every fabric — a one-stage
+// SingleHopStage for crossbar and fully-connected, BatcherStages,
+// BanyanStages and MeshStages for the multi-hop fabrics — behind either a
+// VOQ/iSLIP or a FIFO/HOL ingress front. Any config rejected by
+// lane_sim_supported() runs on the reference (see
 // lane_sim_fallback_reason()).
-//
-// Deferred energy ledger (the fused engines): the per-word hot loop does
-// not perform the serial FP chain
-//     wire_j += row_lut[row_flips] + col_lut[col_flips]
-// Instead each measured word records one uint32 *event index* (a flip-class
-// key) into an event buffer; at flush boundaries (buffer full, end of the
-// run) the buffer is replayed serially:
-//     switch_j += switch_word_j;  wire_j += event_lut[index]
-// in the exact delivery order. Replay preserves each accumulator's operand
-// sequence — the scalar chain's adds, in the scalar chain's order — so the
-// totals are bit-identical; only the interleaving *between* independent
-// accumulators changes, which no accumulator observes. The crossbar's
-// two-term LUT sum collapses into a precomputed pair LUT whose entries are
-// built with the identical expression (row_lut[rf] + col_lut[cf]), hence
-// identical doubles. Nothing is recorded during warmup (those adds are
-// zeroed at the boundary anyway); polarity memories still update so the
-// flip sequence carries across the boundary exactly like the scalar run.
 
 #include <algorithm>
 #include <cstdint>
@@ -64,12 +51,12 @@ struct StrCursor {
   std::uint32_t slot = 0;
 };
 
-// The staged fabrics (Batcher-Banyan, banyan, mesh) each define a
-// kStageFlitBytes Flit carrying only what their tick reads — the mirror of
-// the scalar Flit. `seq + 1 == packet_words` derives the tail flag and
-// `inj` carries the grant cycle, so tail delivery computes latency without
-// the scalar collector's inflight map. lane_sim_fallback_reason bounds the
-// cycle horizon so the 32-bit injection stamps and packet ids cannot wrap.
+// Every fabric defines a kStageFlitBytes Flit carrying only what its tick
+// reads — the mirror of the scalar Flit. `seq + 1 == packet_words` derives
+// the tail flag and `inj` carries the grant cycle, so tail delivery
+// computes latency without the scalar collector's inflight map.
+// lane_sim_fallback_reason bounds the cycle horizon so the 32-bit
+// injection stamps cannot wrap.
 
 /// The scalar PacketFactory::make ran (and advanced its generator) before
 /// the ingress dropped the packet — consume the same payload draws.
@@ -80,7 +67,7 @@ inline void consume_payload_draws(unsigned pw, PayloadKind payload,
   }
 }
 
-/// Traffic state shared by every engine: destination pattern, the
+/// Traffic state of a run: destination pattern, the
 /// Bernoulli/bursty arrival process and the two generator streams. Draw
 /// order matches the scalar TrafficGenerator exactly.
 struct Traffic {
@@ -207,15 +194,12 @@ struct VoqFront {
   std::uint32_t spb_ = 0;  ///< slots per bank = cap_ + 1
   unsigned iterations_ = 0;
   PayloadKind payload_ = PayloadKind::kRandom;
-  bool with_ids_ = false;
 
   // VOQ banks: bank b = ingress owns spb_ packet slots; VOQs are intrusive
   // lists over the slot pool, occupancy mirrored in mask words.
   std::vector<std::uint32_t> slot_next_;  // [bank * spb_ + slot]
   std::vector<std::uint32_t> free_head_;  // [bank]
   std::vector<Word> words_;               // [(bank * spb_ + slot) * pw_]
-  std::vector<std::uint64_t> ids_;        // [bank * spb_ + slot], with_ids_
-  std::uint64_t next_id_ = 0;
   std::vector<std::uint32_t> head_;       // [bank * N + egress]
   std::vector<std::uint32_t> tail_;       // [bank * N + egress]
   std::vector<std::uint64_t> occ_;        // [bank], bit e = VOQ e nonempty
@@ -236,14 +220,13 @@ struct VoqFront {
   std::uint64_t drops_ = 0;
   std::uint64_t drops_before_ = 0;
 
-  void init(const SimConfig& c, bool with_ids) {
+  void init(const SimConfig& c) {
     n_ = c.ports;
     pw_ = c.packet_words;
     cap_ = static_cast<std::uint32_t>(c.ingress_queue_packets);
     spb_ = cap_ + 1;
     iterations_ = c.islip_iterations == 0 ? c.ports : c.islip_iterations;
     payload_ = c.payload;
-    with_ids_ = with_ids;
 
     slot_next_.assign(std::size_t{n_} * spb_, kNullSlot);
     for (std::size_t b = 0; b < n_; ++b) {
@@ -255,7 +238,6 @@ struct VoqFront {
     // One padding word: a completed packet's parked cursor points one past
     // its last word.
     words_.assign(std::size_t{n_} * spb_ * pw_ + 1, 0);
-    if (with_ids_) ids_.assign(std::size_t{n_} * spb_, 0);
     head_.assign(std::size_t{n_} * n_, kNullSlot);
     tail_.assign(std::size_t{n_} * n_, kNullSlot);
     occ_.assign(n_, 0);
@@ -273,8 +255,6 @@ struct VoqFront {
 
   void enqueue(PortId ingress, PortId dest, Cycle /*cycle*/, Rng& frng) {
     const std::size_t b = ingress;
-    std::uint64_t id = 0;
-    if (with_ids_) id = next_id_++;  // factory id advances even on drop
     if (total_[b] >= cap_) {
       ++drops_;
       consume_payload_draws(pw_, payload_, frng);
@@ -286,7 +266,6 @@ struct VoqFront {
 
     fill_packet_words(words_.data() + (sbase + s) * pw_, pw_, dest, payload_,
                       frng);
-    if (with_ids_) ids_[sbase + s] = id;
 
     const std::size_t q = b * n_ + dest;
     slot_next_[sbase + s] = kNullSlot;
@@ -375,10 +354,6 @@ struct VoqFront {
 
   void unlock_mask(std::uint64_t egresses) { egress_free_ |= egresses; }
 
-  [[nodiscard]] std::uint64_t id_of(PortId p, std::uint32_t slot) const {
-    return with_ids_ ? ids_[std::size_t{p} * spb_ + slot] : 0;
-  }
-
   void snapshot_drops() { drops_before_ = drops_; }
 };
 
@@ -396,13 +371,10 @@ struct FifoFront {
   unsigned pw_ = 0;
   std::uint32_t cap_ = 0;  ///< packets per ingress ring
   PayloadKind payload_ = PayloadKind::kRandom;
-  bool with_ids_ = false;
 
   std::vector<std::uint32_t> head_;   // [bank]
   std::vector<std::uint32_t> size_;   // [bank]
   std::vector<Word> words_;           // [(bank * cap_ + pos) * pw_]
-  std::vector<std::uint64_t> ids_;    // [bank * cap_ + pos], with_ids_
-  std::uint64_t next_id_ = 0;
   std::vector<Cycle> head_since_;     // [bank]: IngressUnit::head_since
 
   std::vector<std::uint64_t> cont_;  // [egress], bit i contends
@@ -417,17 +389,15 @@ struct FifoFront {
   std::uint64_t drops_ = 0;
   std::uint64_t drops_before_ = 0;
 
-  void init(const SimConfig& c, bool with_ids) {
+  void init(const SimConfig& c) {
     n_ = c.ports;
     pw_ = c.packet_words;
     cap_ = static_cast<std::uint32_t>(c.ingress_queue_packets);
     payload_ = c.payload;
-    with_ids_ = with_ids;
 
     head_.assign(n_, 0);
     size_.assign(n_, 0);
     words_.assign(std::size_t{n_} * cap_ * pw_ + 1, 0);
-    if (with_ids_) ids_.assign(std::size_t{n_} * cap_, 0);
     head_since_.assign(n_, 0);
     cont_.assign(n_, 0);
     rr_next_.assign(n_, 0);
@@ -437,8 +407,6 @@ struct FifoFront {
 
   void enqueue(PortId ingress, PortId dest, Cycle cycle, Rng& frng) {
     const std::size_t b = ingress;
-    std::uint64_t id = 0;
-    if (with_ids_) id = next_id_++;  // factory id advances even on drop
     if (size_[b] == cap_) {
       ++drops_;
       consume_payload_draws(pw_, payload_, frng);
@@ -448,7 +416,6 @@ struct FifoFront {
     if (pos >= cap_) pos -= cap_;
     fill_packet_words(words_.data() + (b * cap_ + pos) * pw_, pw_, dest,
                       payload_, frng);
-    if (with_ids_) ids_[b * cap_ + pos] = id;
     // IngressUnit::enqueue: head_since stamps only when the packet becomes
     // the head of line (empty queue, not streaming). A head of line
     // contends for its destination; the engine keeps that set as per-egress
@@ -532,19 +499,10 @@ struct FifoFront {
 
   void unlock_mask(std::uint64_t egresses) { locked_ &= ~egresses; }
 
-  [[nodiscard]] std::uint64_t id_of(PortId p, std::uint32_t slot) const {
-    return with_ids_ ? ids_[std::size_t{p} * cap_ + slot] : 0;
-  }
-
   void snapshot_drops() { drops_before_ = drops_; }
 };
 
-/// Deferred-ledger event buffer depth (uint32 keys). Sized so a flush
-/// replay stays L1/L2-resident; the hot loop flushes whenever fewer than
-/// one full port set of headroom remains.
-constexpr unsigned kEventCap = 4096;
-
-/// Measurement accumulators shared by every engine, mirroring the scalar
+/// Measurement accumulators of a run, mirroring the scalar
 /// EnergyLedger buckets and EgressCollector / fabric counters. FP members
 /// only ever receive the scalar run's adds in the scalar run's
 /// per-accumulator order, so the derived SimResult fields match bit for
@@ -614,168 +572,100 @@ struct Accum {
   return r;
 }
 
-/// Fused single-hop engine: crossbar and fully-connected, behind either
-/// ingress front. Every injected word is delivered the same cycle (the
-/// scalar fabric's tick empties every slot injected before it), so the
-/// whole per-word energy path is two LUT-able adds — the shape the
-/// deferred ledger removes from the hot loop. A measured word records one
-/// uint32 flip-class key; flush() replays the keys serially in delivery
-/// order (see the file header for the bit-exactness argument).
-template <Architecture kArch, class FrontT>
-struct FusedEngine {
+/// Single-hop fabric: crossbar or fully-connected, a multistage fabric with
+/// one stage (Eq. 3: a word costs one switch term plus its wire flips).
+/// The scalar tick delivers every word injected before it, so a slot is
+/// always free to accept and the egress reopens at tail injection. The
+/// tick walks the occupied slots ingress-ascending, as
+/// CrossbarFabric::tick and FullyConnectedFabric::tick do.
+template <Architecture kArch>
+struct SingleHopStage {
+  static constexpr bool kFixedLatency = true;  ///< delivered the same cycle
   static constexpr bool kXbar = (kArch == Architecture::kCrossbar);
 
-  unsigned n_ = 0;
-  unsigned pw_ = 0;
-  std::uint32_t bw1_ = 0;  ///< bus_width + 1 (pair-LUT row stride)
+  /// 16-byte slot word; dest fits a byte (N <= 64).
+  struct Flit {
+    Word data = 0;
+    std::uint32_t inj = 0;  ///< head-injection cycle stamp
+    std::uint32_t seq = 0;
+    std::uint8_t dest = 0;
+  };
+  static_assert(sizeof(Flit) == kStageFlitBytes);
+
   /// Eq. 3's per-word switch constant: N * E_S (crossbar crosspoint row)
   /// or the N-input mux (fully-connected) — identical expression to the
   /// scalar fabric constructors.
   double switch_word_j_ = 0.0;
-  /// Crossbar: pair LUT [rf * bw1_ + cf] = row_lut[rf] + col_lut[cf],
-  /// built with the identical scalar expressions, hence identical doubles.
-  /// Fully-connected: [flips] = flip_energy_j(flips, path_grids()).
-  std::vector<double> lut_;
-  std::vector<Word> row_last_;  // [ingress] wire polarity
-  std::vector<Word> col_last_;  // [egress], crossbar only
-  std::vector<std::uint32_t> ebuf_;  // [kEventCap] event keys
-  std::uint32_t ecnt_ = 0;
-  FrontT front_;
-  Accum acc_;
+  double row_len_ = 0.0;  ///< crossbar row or fully-connected path, grids
+  double col_len_ = 0.0;  ///< crossbar column, grids
+  WireEnergyModel wires_ = WireEnergyModel{};
+  Flit slots_[64] = {};     // [ingress]
+  std::uint64_t occ_ = 0;   // bit i = slot i holds a word
+  Word row_last_[64] = {};  // [ingress] wire polarity
+  Word col_last_[64] = {};  // [egress], crossbar only
 
   void init(const SimConfig& c) {
-    n_ = c.ports;
-    pw_ = c.packet_words;
-    bw1_ = c.tech.bus_width + 1;
-    const WireEnergyModel wires{c.tech};
+    wires_ = WireEnergyModel{c.tech};
     if constexpr (kXbar) {
       const thompson::CrossbarEmbedding embedding{c.ports};
       switch_word_j_ = c.ports * c.switches.crosspoint.energy_per_bit(1u) *
                        c.tech.bus_width;
-      std::vector<double> row_lut, col_lut;
-      row_lut.reserve(bw1_);
-      col_lut.reserve(bw1_);
-      for (unsigned f = 0; f <= c.tech.bus_width; ++f) {
-        row_lut.push_back(wires.flip_energy_j(static_cast<int>(f),
-                                              embedding.row_wire_grids()));
-        col_lut.push_back(wires.flip_energy_j(static_cast<int>(f),
-                                              embedding.column_wire_grids()));
-      }
-      lut_.resize(std::size_t{bw1_} * bw1_);
-      for (unsigned rf = 0; rf < bw1_; ++rf) {
-        for (unsigned cf = 0; cf < bw1_; ++cf) {
-          lut_[std::size_t{rf} * bw1_ + cf] = row_lut[rf] + col_lut[cf];
-        }
-      }
-      col_last_.assign(n_, 0);
+      row_len_ = embedding.row_wire_grids();
+      col_len_ = embedding.column_wire_grids();
     } else {
       const thompson::FullyConnectedEmbedding embedding{c.ports};
       switch_word_j_ =
           c.switches.mux_energy_per_bit(c.ports) * c.tech.bus_width;
-      lut_.reserve(bw1_);
-      for (unsigned f = 0; f <= c.tech.bus_width; ++f) {
-        lut_.push_back(wires.flip_energy_j(static_cast<int>(f),
-                                           embedding.path_grids()));
-      }
+      row_len_ = embedding.path_grids();
     }
-    row_last_.assign(n_, 0);
-    ebuf_.assign(kEventCap, 0);
-    front_.init(c, /*with_ids=*/false);
   }
 
-  void enqueue(PortId ingress, PortId dest, Cycle cycle, Rng& frng) {
-    front_.enqueue(ingress, dest, cycle, frng);
+  [[nodiscard]] static bool can_accept(PortId /*ingress*/) { return true; }
+
+  void inject(PortId ingress, PortId dest, Word data, std::uint32_t seq,
+              Cycle inj) {
+    slots_[ingress] = Flit{data, static_cast<std::uint32_t>(inj), seq,
+                           static_cast<std::uint8_t>(dest)};
+    occ_ |= std::uint64_t{1} << ingress;
   }
 
-  /// Replay the deferred events against the ledger accumulators, in
-  /// delivery order: the scalar per-word (switch const, wire LUT) add
-  /// pair, per accumulator.
-  void flush() {
-    const std::uint32_t cnt = ecnt_;
-    if (cnt == 0) return;
-    const std::uint32_t* const ev = ebuf_.data();
-    double sj = acc_.switch_j;
-    double wj = acc_.wire_j;
-    for (std::uint32_t i = 0; i < cnt; ++i) {
-      sj += switch_word_j_;
-      wj += lut_[ev[i]];
+  template <bool kMeasured, class Deliver>
+  void tick(Cycle /*cycle*/, Accum& acc, Deliver&& deliver) {
+    double wire_acc = 0.0;
+    double switch_acc = 0.0;
+    if constexpr (kMeasured) {
+      wire_acc = acc.wire_j;
+      switch_acc = acc.switch_j;
     }
-    acc_.switch_j = sj;
-    acc_.wire_j = wj;
-    ecnt_ = 0;
-  }
-
-  template <bool kMeasured>
-  void step(Cycle cycle) {
-    front_.schedule(cycle);
-    Word* const rl = row_last_.data();
-    // col_last_ is empty for fully-connected; only form the pointer when
-    // the plane exists.
-    Word* const cl = [&]() -> Word* {
-      if constexpr (kXbar) return col_last_.data();
-      return nullptr;
-    }();
-    std::uint32_t* const ev = ebuf_.data();
-    std::uint32_t ecnt = ecnt_;
-    std::uint64_t wcnt = 0;
-    // The scalar inject-then-tick: streaming ports ascending, each word
-    // delivered within the same cycle.
-    for_each_set_bit(front_.streaming_, 0, [&](unsigned p) {
-      StrCursor& cur = front_.str_[p];
-      const Word data = front_.words_[cur.idx];
-      const unsigned e = cur.dest;
-      // Wire polarity always advances (warmup included); the energy add is
-      // deferred as one event key when measuring.
-      std::uint32_t key;
+    for_each_set_bit(occ_, 0, [&](unsigned p) {
+      const Flit& f = slots_[p];
+      // Wire polarity always advances (warmup included); when measuring,
+      // the switch add, then one wire add (the crossbar sums its row and
+      // column terms first, as the scalar tick does).
+      [[maybe_unused]] const int row_flips =
+          toggled_bits(row_last_[p], f.data);
+      row_last_[p] = f.data;
+      [[maybe_unused]] int col_flips = 0;
       if constexpr (kXbar) {
-        const auto rf =
-            static_cast<std::uint32_t>(toggled_bits(rl[p], data));
-        rl[p] = data;
-        const auto cf =
-            static_cast<std::uint32_t>(toggled_bits(cl[e], data));
-        cl[e] = data;
-        key = rf * bw1_ + cf;
-      } else {
-        key = static_cast<std::uint32_t>(toggled_bits(rl[p], data));
-        rl[p] = data;
+        col_flips = toggled_bits(col_last_[f.dest], f.data);
+        col_last_[f.dest] = f.data;
       }
       if constexpr (kMeasured) {
-        ev[ecnt++] = key;
-        ++wcnt;
-      } else {
-        (void)key;
-      }
-      cur.idx += 1;
-      const std::uint32_t left = cur.left;
-      cur.left = left - 1;
-      if (left == 1) {
-        // Tail delivered this cycle: packet + latency bookkeeping, then
-        // retire the stream (fixed-latency: egress reopens immediately).
-        if constexpr (kMeasured) {
-          ++acc_.packets;
-          acc_.latency_sum +=
-              static_cast<double>(cycle - front_.str_start_[p]);
-          ++acc_.latency_cnt;
+        switch_acc += switch_word_j_;
+        if constexpr (kXbar) {
+          wire_acc += wires_.flip_energy_j(row_flips, row_len_) +
+                      wires_.flip_energy_j(col_flips, col_len_);
+        } else {
+          wire_acc += wires_.flip_energy_j(row_flips, row_len_);
         }
-        front_.on_tail(p, e, cur.slot, cycle, /*fixed_latency=*/true);
       }
+      deliver(f, f.dest);
     });
+    occ_ = 0;
     if constexpr (kMeasured) {
-      ecnt_ = ecnt;
-      acc_.words += wcnt;
-      if (ecnt + n_ > kEventCap) flush();
+      acc.wire_j = wire_acc;
+      acc.switch_j = switch_acc;
     }
-  }
-
-  void reset_measurement() {
-    acc_.reset_measurement();
-    front_.snapshot_drops();
-  }
-
-  void finish() { flush(); }
-
-  [[nodiscard]] SimResult result(const SimConfig& c) const {
-    return make_result(c, acc_, front_.drops_ - front_.drops_before_);
   }
 };
 
@@ -789,7 +679,6 @@ struct FusedEngine {
 /// it equals cycle & 1 and needs no storage.
 struct BatcherStages {
   static constexpr bool kFixedLatency = true;  ///< sorter+banyan, no buffers
-  static constexpr bool kNeedsIds = true;      ///< same-packet arbitration rule
 
   struct Stage {
     bool sorter = false;
@@ -805,12 +694,11 @@ struct BatcherStages {
   };
 
   /// 16-byte link word: the sorter compares via the dest_ byte plane and
-  /// the row is implied by position, so neither is carried. `id` is only
-  /// consulted for equality (the same-packet rule), so the front's own
-  /// counter matches the scalar factory's ids.
+  /// the row is implied by position, so neither is carried. (src, inj)
+  /// names the packet for the same-packet rule (see tick).
   struct Flit {
     Word data = 0;
-    std::uint32_t id = 0;   ///< same-packet rule; exact under the gate
+    std::uint32_t src = 0;  ///< injecting ingress
     std::uint32_t inj = 0;  ///< head-injection cycle stamp
     std::uint32_t seq = 0;
   };
@@ -877,9 +765,9 @@ struct BatcherStages {
   }
 
   void inject(PortId ingress, PortId dest, Word data, std::uint32_t seq,
-              std::uint64_t id, Cycle inj) {
-    links_[ingress] = Flit{data, static_cast<std::uint32_t>(id),
-                           static_cast<std::uint32_t>(inj), seq};
+              Cycle inj) {
+    links_[ingress] =
+        Flit{data, ingress, static_cast<std::uint32_t>(inj), seq};
     dest_[ingress] = static_cast<std::uint8_t>(dest);
     row_occ_[0] |= std::uint64_t{1} << ingress;
     sw_occ_[0] |= std::uint64_t{1} << switch_of(ingress, specs_[0].span_log2);
@@ -1010,11 +898,18 @@ struct BatcherStages {
           const PortId r1 = r0 | (PortId{1} << b);
 
           // Same-packet word order overrides the alternating priority.
+          // (src, inj) stands in for the scalar packet id: an ingress
+          // streams one packet at a time, and schedule() runs before
+          // injection, so an ingress's next grant (its next packet's inj)
+          // comes at least one cycle after its previous tail. Two words
+          // share (src, inj) exactly when they share a packet; inj cannot
+          // wrap below the horizon bound in lane_sim_fallback_reason.
           PortId first_row = parity ? r1 : r0;
           PortId second_row = parity ? r0 : r1;
           const bool has0 = ((row_here >> r0) & 1) != 0;
           const bool has1 = ((row_here >> r1) & 1) != 0;
-          if (has0 && has1 && links[r0].id == links[r1].id) {
+          if (has0 && has1 && links[r0].src == links[r1].src &&
+              links[r0].inj == links[r1].inj) {
             const bool zero_first = links[r0].seq < links[r1].seq;
             first_row = zero_first ? r0 : r1;
             second_row = zero_first ? r1 : r0;
@@ -1080,7 +975,6 @@ struct BatcherStages {
 /// measurement-window deltas).
 struct BanyanStages {
   static constexpr bool kFixedLatency = false;  ///< queueing varies latency
-  static constexpr bool kNeedsIds = false;      ///< no same-packet rule
 
   /// 16-byte link/FIFO word; dest and row fit a byte each (N <= 64).
   struct Flit {
@@ -1102,8 +996,8 @@ struct BanyanStages {
   double refresh_j_ = 0.0;  ///< DRAM refresh energy per cycle (Eq. 1 E_ref)
   double act1_ = 0.0;
   double act2_ = 0.0;
-  double straight_grids_ = 0.0;
-  std::vector<double> cross_grids_;  // [stage]
+  double straight_len_ = 0.0;        ///< straight link, grids
+  std::vector<double> cross_len_;    // [stage] crossing link, grids
   WireEnergyModel wires_ = WireEnergyModel{};
 
   std::vector<Flit> links_;          // [stage * n_ + row]
@@ -1142,10 +1036,10 @@ struct BanyanStages {
     act1_ = c.switches.banyan2x2.energy_per_bit(0b01u) * c.tech.bus_width;
     act2_ = c.switches.banyan2x2.energy_per_bit(0b11u) * c.tech.bus_width;
     const thompson::BanyanEmbedding embedding{c.ports};
-    straight_grids_ = embedding.straight_link_grids();
-    cross_grids_.reserve(stages_);
+    straight_len_ = embedding.straight_link_grids();
+    cross_len_.reserve(stages_);
     for (unsigned s = 0; s < stages_; ++s) {
-      cross_grids_.push_back(embedding.cross_link_grids(s));
+      cross_len_.push_back(embedding.cross_link_grids(s));
     }
 
     links_.assign(std::size_t{stages_} * n_, Flit{});
@@ -1170,7 +1064,7 @@ struct BanyanStages {
   }
 
   void inject(PortId ingress, PortId dest, Word data, std::uint32_t seq,
-              std::uint64_t /*id*/, Cycle inj) {
+              Cycle inj) {
     links_[ingress] =
         Flit{data, static_cast<std::uint32_t>(inj), seq,
              static_cast<std::uint8_t>(dest),
@@ -1256,8 +1150,8 @@ struct BanyanStages {
           if (!have) continue;
 
           // charge_wire: straight link vs stage crossing.
-          const double grids = mover.row == out_row ? straight_grids_
-                                                    : cross_grids_[stage];
+          const double grids =
+              mover.row == out_row ? straight_len_ : cross_len_[stage];
           const int flips = toggled_bits(wl[out_row], mover.data);
           wl[out_row] = mover.data;
           if constexpr (kMeasured) {
@@ -1363,7 +1257,6 @@ struct BanyanStages {
 /// dram_buffers); the counters accumulate across warmup, like banyan's.
 struct MeshStages {
   static constexpr bool kFixedLatency = false;  ///< queueing varies latency
-  static constexpr bool kNeedsIds = false;      ///< no same-packet rule
 
   /// 16-byte register/FIFO word; dest fits a byte (N <= 64).
   struct Flit {
@@ -1460,7 +1353,7 @@ struct MeshStages {
   }
 
   void inject(PortId ingress, PortId dest, Word data, std::uint32_t seq,
-              std::uint64_t /*id*/, Cycle inj) {
+              Cycle inj) {
     in_[std::size_t{ingress} * kDirs + kLocal] =
         Flit{data, static_cast<std::uint32_t>(inj), seq,
              static_cast<std::uint8_t>(dest)};
@@ -1627,24 +1520,22 @@ struct MeshStages {
   }
 };
 
-/// Multi-hop engine: an ingress front feeding a staged fabric
-/// (Batcher-Banyan, banyan or mesh) through the scalar routers' generic
-/// inject-then-tick path — per-port can_accept back-pressure, fabric tick
-/// after all injections, and (for variable-latency fabrics) egress unlocks
-/// collected at tail delivery and applied after the tick.
+/// The engine: an ingress front feeding a staged fabric (SingleHopStage,
+/// BatcherStages, BanyanStages or MeshStages) through the scalar routers'
+/// generic inject-then-tick path — per-port can_accept back-pressure,
+/// fabric tick after all injections, and (for variable-latency fabrics)
+/// egress unlocks collected at tail delivery and applied after the tick.
 template <class Fab, class FrontT>
-struct StagedEngine {
-  unsigned n_ = 0;
+struct Engine {
   unsigned pw_ = 0;
   Fab fab_;
   FrontT front_;
   Accum acc_;
 
   void init(const SimConfig& c) {
-    n_ = c.ports;
     pw_ = c.packet_words;
     fab_.init(c);
-    front_.init(c, /*with_ids=*/Fab::kNeedsIds);
+    front_.init(c);
   }
 
   void enqueue(PortId ingress, PortId dest, Cycle cycle, Rng& frng) {
@@ -1667,9 +1558,7 @@ struct StagedEngine {
       cur.idx = idx + 1;
       cur.left = left - 1;
       fab_.inject(static_cast<PortId>(p), static_cast<PortId>(e),
-                  front_.words_[idx], pw_ - left,
-                  front_.id_of(static_cast<PortId>(p), slot),
-                  front_.str_start_[p]);
+                  front_.words_[idx], pw_ - left, front_.str_start_[p]);
       if (left == 1) {
         front_.on_tail(p, e, slot, cycle, Fab::kFixedLatency);
       }
@@ -1701,8 +1590,6 @@ struct StagedEngine {
     front_.snapshot_drops();
   }
 
-  void finish() {}  // nothing deferred
-
   [[nodiscard]] SimResult result(const SimConfig& c) const {
     return make_result(c, acc_, front_.drops_ - front_.drops_before_);
   }
@@ -1731,7 +1618,6 @@ SimResult run(const SimConfig& c) {
     arrive();
     eng.template step<true>(cycle);
   }
-  eng.finish();
   return eng.result(c);
 }
 
@@ -1744,23 +1630,24 @@ SimResult simulate(const SimConfig& config) {
   const bool voq = config.scheme == RouterScheme::kVoq;
   switch (config.arch) {
     case Architecture::kCrossbar:
-      return voq ? run<FusedEngine<Architecture::kCrossbar, VoqFront>>(config)
-                 : run<FusedEngine<Architecture::kCrossbar, FifoFront>>(
-                       config);
+      return voq ? run<Engine<SingleHopStage<Architecture::kCrossbar>,
+                              VoqFront>>(config)
+                 : run<Engine<SingleHopStage<Architecture::kCrossbar>,
+                              FifoFront>>(config);
     case Architecture::kFullyConnected:
-      return voq ? run<FusedEngine<Architecture::kFullyConnected, VoqFront>>(
-                       config)
-                 : run<FusedEngine<Architecture::kFullyConnected, FifoFront>>(
-                       config);
+      return voq ? run<Engine<SingleHopStage<Architecture::kFullyConnected>,
+                              VoqFront>>(config)
+                 : run<Engine<SingleHopStage<Architecture::kFullyConnected>,
+                              FifoFront>>(config);
     case Architecture::kBatcherBanyan:
-      return voq ? run<StagedEngine<BatcherStages, VoqFront>>(config)
-                 : run<StagedEngine<BatcherStages, FifoFront>>(config);
+      return voq ? run<Engine<BatcherStages, VoqFront>>(config)
+                 : run<Engine<BatcherStages, FifoFront>>(config);
     case Architecture::kBanyan:
-      return voq ? run<StagedEngine<BanyanStages, VoqFront>>(config)
-                 : run<StagedEngine<BanyanStages, FifoFront>>(config);
+      return voq ? run<Engine<BanyanStages, VoqFront>>(config)
+                 : run<Engine<BanyanStages, FifoFront>>(config);
     case Architecture::kMesh:
-      return voq ? run<StagedEngine<MeshStages, VoqFront>>(config)
-                 : run<StagedEngine<MeshStages, FifoFront>>(config);
+      return voq ? run<Engine<MeshStages, VoqFront>>(config)
+                 : run<Engine<MeshStages, FifoFront>>(config);
   }
   return SimResult{};  // unreachable behind lane_sim_supported()
 }

@@ -8,9 +8,10 @@
 
 namespace sfab::detail {
 
-/// Bytes per in-fabric word of the staged fabrics (BatcherStages::Flit,
-/// BanyanStages::Flit and MeshStages::Flit); the footprint estimate in
-/// lane_sim_fallback_reason() charges link and FIFO planes at this size.
+/// Bytes per in-fabric word of every fabric (SingleHopStage::Flit,
+/// BatcherStages::Flit, BanyanStages::Flit and MeshStages::Flit); the
+/// footprint estimate in lane_sim_fallback_reason() charges link and FIFO
+/// planes at this size.
 inline constexpr std::size_t kStageFlitBytes = 16;
 
 /// One run of `config` under config.seed on the packet engine. The caller

@@ -82,18 +82,20 @@ void pin_seeds(SimConfig config, unsigned seeds, const std::string& context) {
 /// A random supported configuration in the given (arch, scheme) cell,
 /// with randomized shape, pattern, payload, and scheduler depth — plus
 /// the node-FIFO knobs when the cell has node FIFOs (banyan, mesh; mesh
-/// ignores dram_buffers, and the draw checks that it does). Cycle counts
-/// stay small — divergence shows up within a few hundred cycles or not
-/// at all.
+/// ignores dram_buffers, and the draw checks that it does). Crossbar,
+/// fully-connected and Batcher-Banyan draw up to 64 ports, so the
+/// full-mask (n == 64) paths of the single-hop stage and the fronts are
+/// fuzzed too. Cycle counts stay small — divergence shows up within a few
+/// hundred cycles or not at all.
 SimConfig random_config(Architecture arch, RouterScheme scheme,
                         std::uint64_t seed) {
   Rng rng{seed};
   SimConfig c;
   c.arch = arch;
   c.scheme = scheme;
-  c.ports = 2 + static_cast<unsigned>(rng.next_below(15));  // 2..16
+  c.ports = 2 + static_cast<unsigned>(rng.next_below(63));  // 2..64
   if (arch == Architecture::kBatcherBanyan) {
-    c.ports = 4u << rng.next_below(3);  // 4..16, power of two
+    c.ports = 4u << rng.next_below(5);  // 4..64, power of two
   } else if (arch == Architecture::kBanyan || arch == Architecture::kMesh) {
     constexpr unsigned kSquares[] = {4, 9, 16, 25, 36, 49, 64};  // k x k
     c.ports = arch == Architecture::kBanyan
@@ -136,7 +138,7 @@ SimConfig random_config(Architecture arch, RouterScheme scheme,
       if (!is_pow2(c.ports)) {
         c.ports = arch == Architecture::kMesh
                       ? 4u << (2 * rng.next_below(3))  // 4, 16, 64
-                      : 1u << (1 + rng.next_below(4));  // 2..16, pow2
+                      : 1u << (1 + rng.next_below(6));  // 2..64, pow2
       }
       break;
   }
@@ -170,6 +172,28 @@ TEST(LaneSimFuzz, RandomConfigsMatchScalarRunForRun) {
                       std::to_string(config.ports) + "p load " +
                       std::to_string(config.offered_load) + ")");
       }
+    }
+  }
+}
+
+TEST(LaneSimFuzz, FullMaskPortsMatchRunForRun) {
+  // At 64 ports every port mask is a full word: the single-hop stage's
+  // occupancy walk, both fronts' masks and Batcher-Banyan's widest sorter.
+  // The random draws above reach 64 only by chance, so pin it here.
+  constexpr Architecture kArchs[] = {Architecture::kCrossbar,
+                                     Architecture::kFullyConnected,
+                                     Architecture::kBatcherBanyan};
+  std::uint64_t case_seed = 0;
+  for (const Architecture arch : kArchs) {
+    for (const RouterScheme scheme :
+         {RouterScheme::kVoq, RouterScheme::kFifo}) {
+      ++case_seed;
+      SimConfig config = random_config(arch, scheme, 0x640 + case_seed);
+      config.ports = 64;  // drawn hotspot ports stay below 64
+      ASSERT_EQ(lane_sim_fallback_reason(config), LaneFallbackReason::kNone);
+      pin_seeds(config, 2,
+                "64-port " + std::string(to_string(arch)) + "/" +
+                    std::string(to_string(scheme)));
     }
   }
 }
@@ -249,6 +273,26 @@ TEST(LaneSimFuzz, UnsupportedConfigsFallBackIdentically) {
   c.ports = 80;  // > 64 ports of egress state per mask word
   EXPECT_EQ(lane_sim_fallback_reason(c), LaneFallbackReason::kPorts);
   pin_seeds(c, 2, "80-port fallback");
+
+  // Reason-only checks (no run). Every fabric stamps its flits with a
+  // 32-bit injection cycle, so the 2^30-cycle horizon bound covers the
+  // single-hop fabrics too.
+  SimConfig h;
+  h.ports = 64;
+  h.warmup_cycles = 1000;
+  h.measure_cycles = (Cycle{1} << 30) - h.warmup_cycles;
+  for (const Architecture arch :
+       {Architecture::kCrossbar, Architecture::kFullyConnected}) {
+    h.arch = arch;
+    EXPECT_EQ(lane_sim_fallback_reason(h), LaneFallbackReason::kMeasure)
+        << to_string(arch);
+  }
+  // Batcher-Banyan names a packet by (ingress, injection cycle), so a
+  // 64-port run is bounded by the cycle horizon alone, whatever the port
+  // count.
+  h.arch = Architecture::kBatcherBanyan;
+  h.measure_cycles = (Cycle{1} << 25) - h.warmup_cycles;
+  EXPECT_EQ(lane_sim_fallback_reason(h), LaneFallbackReason::kNone);
 }
 
 }  // namespace
