@@ -299,6 +299,34 @@ struct ObsOutputs {
   }
 };
 
+/// Non-bursty traffic arrives as one Bernoulli draw per port per cycle at
+/// rate load / packet_words, so a rate above 1 would fail in every run.
+/// Rejecting it with the flags means a sharded sweep spawns no worker for
+/// it. Bursty traffic caps its on-rate at 1 and accepts any load.
+void reject_rate_above_one(const SweepSpec& spec) {
+  const auto axis = [](const auto& values, const auto& base) {
+    return values.empty() ? std::vector{base} : values;
+  };
+  const auto patterns = axis(spec.patterns, spec.base.pattern);
+  if (std::all_of(patterns.begin(), patterns.end(), [](auto p) {
+        return p == TrafficPatternKind::kBursty;
+      })) {
+    return;
+  }
+  for (const double load : axis(spec.loads, spec.base.offered_load)) {
+    for (const unsigned words :
+         axis(spec.packet_words, spec.base.packet_words)) {
+      if (load / words > 1.0) {
+        std::ostringstream message;
+        message << "--load " << load << " over --packet-words " << words
+                << " is more than one packet per port per cycle; only "
+                   "--pattern bursty accepts that";
+        throw std::invalid_argument(message.str());
+      }
+    }
+  }
+}
+
 /// One line on stderr when a result cache was in play this sweep.
 void print_cache_summary() {
   const auto& registry = obs::Registry::global();
@@ -474,6 +502,7 @@ int main(int argc, char** argv) {
         throw std::invalid_argument("unknown option " + flag);
       }
     }
+    reject_rate_above_one(spec);
   } catch (const std::exception& error) {
     // Only a command line that does not parse gets the usage text.
     std::cerr << "sfab_cli: " << error.what() << "\n\n";

@@ -126,28 +126,6 @@ template <class Pred>
   return static_cast<unsigned>(std::countr_zero(mask));
 }
 
-/// Gather the bits of `x` whose position has bit `b` clear, packed low:
-/// result bit ((i >> (b + 1)) << b) | (i & (2^b - 1)) equals x bit i for
-/// every i with bit b == 0. This is PEXT with the alternating 2^b-block
-/// mask (0x5555... for b = 0, 0x3333... for b = 1, ...), computed portably
-/// by a log-step unshuffle so non-BMI2 builds pay ~5 - b shift/or/and
-/// rounds instead of a per-bit walk. The staged packet-lane fabrics use it
-/// to fold a 64-row occupancy word into a per-2x2-switch word (row r of a
-/// span-2^b stage belongs to switch ((r >> (b+1)) << b) | (r & (2^b - 1))).
-[[nodiscard]] inline constexpr std::uint64_t compress_even_blocks(
-    std::uint64_t x, unsigned b) noexcept {
-  assert(b < 6);
-  constexpr std::uint64_t kBlk[6] = {
-      0x5555555555555555ull, 0x3333333333333333ull,
-      0x0F0F0F0F0F0F0F0Full, 0x00FF00FF00FF00FFull,
-      0x0000FFFF0000FFFFull, 0x00000000FFFFFFFFull};
-  x &= kBlk[b];
-  for (unsigned i = b; i < 5; ++i) {
-    x = (x | (x >> (1u << i))) & kBlk[i + 1];
-  }
-  return x;
-}
-
 inline constexpr void set_bit(std::uint64_t* words, std::size_t i) noexcept {
   words[i >> 6] |= std::uint64_t{1} << (i & 63);
 }

@@ -10,7 +10,8 @@
 // sorting stages plus log2(N) banyan stages — which multiplies the switch
 // and wire energy per bit (Eq. 6).
 //
-// Modeling notes (DESIGN.md section 3):
+// Modeling notes (this class is the oracle the packet engine's lockstep
+// BatcherStages, src/sim/lane_sim_engine.cpp, is pinned against):
 //  * Sorter stages are true compare-exchange columns: two words meeting at
 //    a switch always both advance (one per output), so the sorter never
 //    blocks; each substage of comparator span 2^i charges its full
@@ -21,9 +22,10 @@
 //    finish. Word order is still preserved: the pipeline has uniform depth
 //    and the banyan arbiter prefers the earlier sequence number of a
 //    packet when two of its words ever compete.
-//  * Residual banyan-stage conflicts (possible only for cohorts sheared by
-//    an earlier stall) stall in place and are counted in link_conflicts();
-//    in steady state the counter stays at or near zero.
+//  * Banyan-stage conflicts stall in place and are counted in
+//    link_conflicts(). Behind either router front they never happen: a
+//    cohort's destinations are distinct, so it leaves the sorter sorted
+//    and crosses the banyan conflict-free (tests/test_fabric_batcher.cpp).
 #pragma once
 
 #include <cstdint>

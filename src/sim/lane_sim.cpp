@@ -118,9 +118,9 @@ LaneFallbackReason lane_sim_fallback_reason(const SimConfig& c) noexcept {
   // State footprint of one run, capped at ~512 MB; larger configs run on
   // the reference. The ingress front keeps capacity(+1) packet slots per
   // bank (a granted packet streams out of its slot until the tail leaves);
-  // the multi-hop fabrics add their per-stage link/wire planes (and, for
-  // banyan and mesh, the node-FIFO ring planes). The single-hop stage's
-  // fixed 64-slot arrays live in the engine object itself.
+  // the multi-hop fabrics add their per-stage state (and, for banyan and
+  // mesh, the node-FIFO ring planes). The single-hop stage's fixed 64-slot
+  // arrays live in the engine object itself.
   const std::uint64_t banks = c.ports;
   const std::uint64_t slots = banks * (c.ingress_queue_packets + 1);
   std::uint64_t bytes = slots * c.packet_words * sizeof(Word) +
@@ -130,9 +130,12 @@ LaneFallbackReason lane_sim_fallback_reason(const SimConfig& c) noexcept {
     case Architecture::kFullyConnected:
       break;
     case Architecture::kBatcherBanyan: {
+      // One ring slot per stage: rows and delivery records per slot, a
+      // wire polarity per stage output, a stage spec with its flip table
+      // and a slot occupancy word.
       const std::uint64_t d = log2_exact(c.ports);
       const std::uint64_t stages = d * (d + 1) / 2 + d;
-      bytes += stages * (c.ports * (detail::kStageFlitBytes + 4) + 16);
+      bytes += stages * (c.ports * (detail::kBatcherRowBytes + 4) + 576);
       break;
     }
     case Architecture::kBanyan: {

@@ -23,6 +23,7 @@
 // lane_sim_fallback_reason()).
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -51,12 +52,13 @@ struct StrCursor {
   std::uint32_t slot = 0;
 };
 
-// Every fabric defines a kStageFlitBytes Flit carrying only what its tick
-// reads — the mirror of the scalar Flit. `seq + 1 == packet_words` derives
-// the tail flag and `inj` carries the grant cycle, so tail delivery
-// computes latency without the scalar collector's inflight map.
-// lane_sim_fallback_reason bounds the cycle horizon so the 32-bit
-// injection stamps cannot wrap.
+// Every fabric defines a Flit carrying only what its tick and delivery
+// read — the mirror of the scalar Flit (kStageFlitBytes; Batcher-Banyan's
+// Flit is only the delivery record beside its packed rows). `seq + 1 ==
+// packet_words` derives the tail flag and `inj` carries the grant cycle,
+// so tail delivery computes latency without the scalar collector's
+// inflight map. lane_sim_fallback_reason bounds the cycle horizon so the
+// 32-bit injection stamps cannot wrap.
 
 /// The scalar PacketFactory::make ran (and advanced its generator) before
 /// the ingress dropped the packet — consume the same payload draws.
@@ -669,295 +671,256 @@ struct SingleHopStage {
   }
 };
 
-/// Batcher-Banyan staged fabric: the scalar BatcherBanyanFabric's
-/// per-stage links become planes with row- and switch-occupancy words
-/// (N <= 64 rows fit one uint64 per stage). The tick is a
-/// statement-for-statement transliteration of tick_sorter_stage /
-/// tick_banyan_stage, walking occupied switches ascending per stage so the
-/// per-kind energy adds land in the scalar ledger order. The scalar
-/// per-stage banyan_parity_ char toggles once per tick unconditionally, so
-/// it equals cycle & 1 and needs no storage.
+/// Batcher-Banyan in lockstep: every cycle's cohort (the words injected
+/// that cycle) crosses one stage per tick, so stage k always holds the
+/// cohort injected k ticks ago and no stage ever stalls. Why no stage
+/// stalls (tests/test_fabric_batcher.cpp checks both halves):
+///  - Both fronts keep an egress locked from grant to tail injection, so a
+///    cohort's words have distinct destinations.
+///  - The bitonic sorter, idle rows keyed +infinity, leaves such a cohort
+///    sorted by destination in rows 0..m-1: a comparator network that
+///    sorts every 0-1 input sorts every input.
+///  - The MSB-first banyan then routes it without two words of one switch
+///    asking for one output. Two words that meet at a span-2^b stage agree
+///    on their destinations' bits above b (already routed) and on their
+///    sorted rows' bits below b (not yet routed), so the rows lie at least
+///    2^b apart, so do the sorted destinations, and bit b must differ.
+/// The last stage delivers everything, so by induction every stage drains
+/// before its predecessor moves: the reference's stall checks never fire,
+/// and its same-packet rule never applies (a cohort holds at most one word
+/// per ingress). Only the reference BatcherBanyanFabric keeps them.
+///
+/// A cohort lives in one of S ring slots (S = stage count) as packed rows;
+/// each switch permutes its two rows in place, branch-free, and adds its
+/// energy in the reference's per-accumulator order: stages downstream
+/// first, switches ascending, in sorter stages the word from r0 first, in
+/// banyan stages (and deliveries) the row the cycle's parity favours
+/// first. An idle row adds +0.0 wire and switch energy, which leaves every
+/// accumulator (never -0.0) bitwise unchanged. The scalar per-stage
+/// banyan_parity_ toggles once per tick unconditionally, so it equals
+/// cycle & 1 and needs no storage.
 struct BatcherStages {
   static constexpr bool kFixedLatency = true;  ///< sorter+banyan, no buffers
+
+  /// Row word: bits 0-31 the data, 32-37 the injecting ingress, 48-53 the
+  /// destination key. An idle row is kIdle: it compares above every live
+  /// row, and row >> 57 is kAbsent for it and 0 for a live row.
+  static constexpr std::uint64_t kIdle = std::uint64_t{1} << 63;
+  static constexpr unsigned kSrcShift = 32;
+  static constexpr unsigned kKeyShift = 48;
+  static constexpr unsigned kAbsent = 64;
+
+  /// What delivery reads, kept per (slot, ingress) outside the rows.
+  struct Flit {
+    std::uint32_t inj = 0;  ///< head-injection cycle stamp
+    std::uint32_t seq = 0;
+  };
+  static_assert(sizeof(std::uint64_t) + sizeof(Flit) == kBatcherRowBytes);
 
   struct Stage {
     bool sorter = false;
     unsigned span_log2 = 0;
-    unsigned phase = 0;
-    double act1 = 0.0;   ///< switch energy, one word moved (mask 0b01)
-    double act2 = 0.0;   ///< switch energy, both words moved (mask 0b11)
-    double grids = 0.0;  ///< crossing wire length: 4 * 2^span (Eq. 6)
-    /// Bit sw: bitonic_ascending(r0(sw), phase). The direction is a pure
-    /// function of (stage, switch), so the tick tests a mask bit instead
-    /// of recomputing it per occupied switch per cycle.
-    std::uint64_t asc = 0;
+    std::uint64_t r0_rows = 0;  ///< each switch's r0: bit span_log2 clear
+    std::uint64_t asc = 0;      ///< sorter: bit row = bitonic_ascending
+    /// Switch energy by the switch's idle rows: both words move, one, none.
+    double act[3] = {};
+    /// The same doubles flip_energy_j(flips, 4 * 2^span) returns (Eq. 6)
+    /// at flips 0..32, and +0.0 at kAbsent.
+    double flip_j[kAbsent + 1] = {};
   };
-
-  /// 16-byte link word: the sorter compares via the dest_ byte plane and
-  /// the row is implied by position, so neither is carried. (src, inj)
-  /// names the packet for the same-packet rule (see tick).
-  struct Flit {
-    Word data = 0;
-    std::uint32_t src = 0;  ///< injecting ingress
-    std::uint32_t inj = 0;  ///< head-injection cycle stamp
-    std::uint32_t seq = 0;
-  };
-  static_assert(sizeof(Flit) == kStageFlitBytes);
 
   unsigned n_ = 0;
   unsigned n_stages_ = 0;
-  WireEnergyModel wires_ = WireEnergyModel{};
-  std::vector<Stage> specs_;
-  std::vector<Flit> links_;             // [stage * n_ + row]
-  std::vector<std::uint64_t> row_occ_;  // [stage]
-  std::vector<std::uint64_t> sw_occ_;   // [stage]
-  std::vector<Word> wire_last_;         // [stage * n_ + row]
-  /// Sorter compare keys, mirrored out of the flits: dest < 64
-  /// fits a byte, so a stage's whole key plane is one cache line and the
-  /// compare-exchange never touches the flit rows it does not move.
-  std::vector<std::uint8_t> dest_;  // [stage * n_ + row]
+  unsigned head_ = 0;  ///< slot the current cycle's cohort is injected into
+  std::vector<Stage> stages_;
+  std::vector<std::uint64_t> rows_;  // [slot * n_ + row]
+  std::vector<Flit> meta_;           // [slot * n_ + ingress]
+  std::vector<std::uint64_t> occ_;   // [slot], bit row = row holds a word
+  std::vector<Word> wire_last_;      // [stage * n_ + row]
 
   void init(const SimConfig& c) {
     n_ = c.ports;
-    wires_ = WireEnergyModel{c.tech};
-    const unsigned dimension = log2_exact(n_);
+    const WireEnergyModel wires{c.tech};
     for (const BitonicStage& s : bitonic_schedule(n_)) {
-      specs_.push_back(Stage{true, s.span_log2, s.phase, 0.0, 0.0, 0.0});
-    }
-    // Banyan section MSB-first, as the scalar constructor.
-    for (unsigned s = dimension; s-- > 0;) {
-      specs_.push_back(Stage{false, s, 0, 0.0, 0.0, 0.0});
-    }
-    for (Stage& spec : specs_) {
-      const auto& lut =
-          spec.sorter ? c.switches.sorter2x2 : c.switches.banyan2x2;
-      spec.act1 = lut.energy_per_bit(0b01u) * c.tech.bus_width;
-      spec.act2 = lut.energy_per_bit(0b11u) * c.tech.bus_width;
-      spec.grids = 4.0 * static_cast<double>(1u << spec.span_log2);
-      if (spec.sorter) {
-        for (unsigned sw = 0; sw < n_ / 2; ++sw) {
-          const unsigned low = sw & low_mask(spec.span_log2);
-          const unsigned high = (sw >> spec.span_log2)
-                                << (spec.span_log2 + 1);
-          if (bitonic_ascending(static_cast<PortId>(high | low),
-                                spec.phase)) {
-            spec.asc |= std::uint64_t{1} << sw;
-          }
+      Stage spec;
+      spec.sorter = true;
+      spec.span_log2 = s.span_log2;
+      for (unsigned row = 0; row < n_; ++row) {
+        if (bitonic_ascending(row, s.phase)) {
+          spec.asc |= std::uint64_t{1} << row;
         }
       }
+      stages_.push_back(spec);
     }
-    n_stages_ = static_cast<unsigned>(specs_.size());
-    links_.assign(std::size_t{n_stages_} * n_, Flit{});
-    row_occ_.assign(n_stages_, 0);
-    sw_occ_.assign(n_stages_, 0);
+    // Banyan section MSB-first, as the scalar constructor.
+    for (unsigned s = log2_exact(n_); s-- > 0;) {
+      Stage spec;
+      spec.span_log2 = s;
+      stages_.push_back(spec);
+    }
+    for (Stage& spec : stages_) {
+      for (unsigned row = 0; row < n_; ++row) {
+        if (bit_of(row, spec.span_log2) == 0) {
+          spec.r0_rows |= std::uint64_t{1} << row;
+        }
+      }
+      const auto& lut =
+          spec.sorter ? c.switches.sorter2x2 : c.switches.banyan2x2;
+      spec.act[0] = lut.energy_per_bit(0b11u) * c.tech.bus_width;
+      spec.act[1] = lut.energy_per_bit(0b01u) * c.tech.bus_width;
+      const double grids = 4.0 * static_cast<double>(1u << spec.span_log2);
+      for (unsigned f = 0; f <= 32; ++f) {
+        spec.flip_j[f] = wires.flip_energy_j(static_cast<int>(f), grids);
+      }
+    }
+    n_stages_ = static_cast<unsigned>(stages_.size());
+    rows_.assign(std::size_t{n_stages_} * n_, kIdle);
+    meta_.assign(std::size_t{n_stages_} * n_, Flit{});
+    occ_.assign(n_stages_, 0);
     wire_last_.assign(std::size_t{n_stages_} * n_, 0);
-    dest_.assign(std::size_t{n_stages_} * n_, 0);
   }
 
-  [[nodiscard]] static unsigned switch_of(PortId row, unsigned b) {
-    const auto low = static_cast<unsigned>(row & low_mask(b));
-    const unsigned high = (row >> (b + 1)) << b;
-    return high | low;
-  }
-
-  [[nodiscard]] bool can_accept(PortId ingress) const {
-    return ((row_occ_[0] >> ingress) & 1) == 0;
-  }
+  /// Stage 0 drains every tick, so a word is always accepted.
+  [[nodiscard]] static bool can_accept(PortId /*ingress*/) { return true; }
 
   void inject(PortId ingress, PortId dest, Word data, std::uint32_t seq,
               Cycle inj) {
-    links_[ingress] =
-        Flit{data, ingress, static_cast<std::uint32_t>(inj), seq};
-    dest_[ingress] = static_cast<std::uint8_t>(dest);
-    row_occ_[0] |= std::uint64_t{1} << ingress;
-    sw_occ_[0] |= std::uint64_t{1} << switch_of(ingress, specs_[0].span_log2);
+    const std::size_t at = std::size_t{head_} * n_ + ingress;
+    rows_[at] = data | (std::uint64_t{ingress} << kSrcShift) |
+                (std::uint64_t{dest} << kKeyShift);
+    meta_[at] = Flit{static_cast<std::uint32_t>(inj), seq};
+    occ_[head_] |= std::uint64_t{1} << ingress;
   }
 
-  /// The tick keeps the stage's and its successor's occupancy words in
-  /// locals for the whole stage walk (the walk only ever touches rows of
-  /// the current plane pair, and rows of distinct switches are disjoint),
-  /// writing them back once per stage. Successor-plane state lives in the
-  /// *_next locals; vacate/move_word from the scalar become the in-lambda
-  /// bit updates below.
   template <bool kMeasured, class Deliver>
   void tick(Cycle cycle, Accum& acc, Deliver&& deliver) {
-    const bool parity = (cycle & 1) != 0;
+    const std::uint64_t parity = cycle & 1;
     // Energy accumulators live in registers for the whole tick (the adds
-    // themselves keep the scalar order, so the totals stay bit-identical);
-    // through the Accum members every other double store would force a
-    // reload.
+    // themselves keep the scalar order, so the totals stay bit-identical).
     double wire_acc = 0.0;
     double switch_acc = 0.0;
     if constexpr (kMeasured) {
       wire_acc = acc.wire_j;
       switch_acc = acc.switch_j;
     }
-    // Downstream stages first, as the scalar tick.
-    for (unsigned stage = n_stages_; stage-- > 0;) {
-      std::uint64_t sw_here = sw_occ_[stage];
-      if (sw_here == 0) continue;  // scalar walks no occupied switch
-      const Stage& spec = specs_[stage];
-      const unsigned b = spec.span_log2;
-      const bool last_stage = (stage == n_stages_ - 1);
-      Flit* const links = links_.data() + std::size_t{stage} * n_;
-      Word* const wl = wire_last_.data() + std::size_t{stage} * n_;
-      std::uint8_t* const dst = dest_.data() + std::size_t{stage} * n_;
-      std::uint64_t row_here = row_occ_[stage];
-      std::uint64_t row_next = last_stage ? 0 : row_occ_[stage + 1];
-      std::uint64_t sw_next = last_stage ? 0 : sw_occ_[stage + 1];
-      const unsigned b_next = last_stage ? 0 : specs_[stage + 1].span_log2;
-
-      // move_word: charge the crossing wire (polarity always advances;
-      // the energy add is measurement-gated), place the word at stage + 1.
-      const auto move_next = [&](const Flit& flit, std::uint8_t dest,
-                                 PortId out_row) {
-        const int flips = toggled_bits(wl[out_row], flit.data);
-        wl[out_row] = flit.data;
-        if constexpr (kMeasured) {
-          wire_acc += wires_.flip_energy_j(flips, spec.grids);
-        } else {
-          (void)flips;
-        }
-        links[n_ + out_row] = flit;  // stage + 1 plane is contiguous
-        dst[n_ + out_row] = dest;
-        row_next |= std::uint64_t{1} << out_row;
-        sw_next |= std::uint64_t{1} << switch_of(out_row, b_next);
-      };
-      const auto vacate_here = [&](PortId row) {
-        row_here &= ~(std::uint64_t{1} << row);
-        const PortId sibling = row ^ (PortId{1} << b);
-        if (((row_here >> sibling) & 1) == 0) {
-          sw_here &= ~(std::uint64_t{1} << switch_of(row, b));
-        }
-      };
-      const auto charge_activity = [&](unsigned moved) {
-        if constexpr (kMeasured) {
-          if (moved != 0) {
-            switch_acc += moved >= 2 ? spec.act2 : spec.act1;
-          }
-        } else {
-          (void)moved;
-        }
-      };
-
+    // Downstream stages first, as the scalar tick; stage k holds the cohort
+    // injected k ticks ago, in slot head_ - k.
+    for (unsigned k = n_stages_; k-- > 0;) {
+      const unsigned slot = head_ >= k ? head_ - k : head_ + n_stages_ - k;
+      if (occ_[slot] == 0) continue;  // an empty cohort moves nothing
+      const Stage& spec = stages_[k];
+      std::uint64_t* const rows = rows_.data() + std::size_t{slot} * n_;
+      Word* const wl = wire_last_.data() + std::size_t{k} * n_;
       if (spec.sorter) {
-        // Word-parallel stall precheck. Switch outputs never alias across
-        // switches, so movability per switch depends only on the pre-walk
-        // successor occupancy: a full pair holds on any occupied output
-        // (compare-exchange uses both rows); a lone word always sorts
-        // toward r0 when ascending (the idle key, +infinity, loses every
-        // comparison), so it stalls only on that one row. Every visited
-        // switch therefore moves; stalled switches are exactly the
-        // scalar's no-op iterations and charge nothing.
-        const unsigned span = 1u << b;
-        const std::uint64_t occ0 = compress_even_blocks(row_here, b);
-        const std::uint64_t occ1 = compress_even_blocks(row_here >> span, b);
-        const std::uint64_t nxt0 = compress_even_blocks(row_next, b);
-        const std::uint64_t nxt1 = compress_even_blocks(row_next >> span, b);
-        const std::uint64_t both = occ0 & occ1;
-        const std::uint64_t lone = occ0 ^ occ1;
-        const std::uint64_t movable =
-            (both & ~(nxt0 | nxt1)) |
-            (lone & ~((spec.asc & nxt0) | (~spec.asc & nxt1)));
-        for_each_set_bit(movable, 0, [&](unsigned sw) {
-          const auto low = static_cast<unsigned>(sw & low_mask(b));
-          const unsigned high = (sw >> b) << (b + 1);
-          const PortId r0 = high | low;
-          const PortId r1 = r0 | (PortId{1} << b);
-          const bool ascending = ((spec.asc >> sw) & 1) != 0;
-
-          if (((both >> sw) & 1) != 0) {
-            // Compare-exchange on destination keys.
-            const std::uint8_t key0 = dst[r0];
-            const std::uint8_t key1 = dst[r1];
-            const bool swap = (key0 > key1) == ascending && key0 != key1;
-            const PortId out_for_in0 = swap ? r1 : r0;
-            const PortId out_for_in1 = swap ? r0 : r1;
-            move_next(links[r0], key0, out_for_in0);
-            move_next(links[r1], key1, out_for_in1);
-            row_here &=
-                ~((std::uint64_t{1} << r0) | (std::uint64_t{1} << r1));
-            if constexpr (kMeasured) switch_acc += spec.act2;
-          } else {
-            const PortId in_row =
-                ((row_here >> r0) & 1) != 0 ? r0 : r1;
-            const PortId out_row = ascending ? r0 : r1;
-            move_next(links[in_row], dst[in_row], out_row);
-            row_here &= ~(std::uint64_t{1} << in_row);
-            if constexpr (kMeasured) switch_acc += spec.act1;
-          }
-        });
-        sw_here &= ~movable;  // every movable switch drained fully
+        cross<true, false, kMeasured>(spec, rows, occ_[slot], wl, 0,
+                                      wire_acc, switch_acc, deliver,
+                                      nullptr);
+      } else if (k + 1 < n_stages_) {
+        cross<false, false, kMeasured>(spec, rows, occ_[slot], wl, parity,
+                                       wire_acc, switch_acc, deliver,
+                                       nullptr);
       } else {
-        // Snapshot walk: a vacate only clears the switch being walked.
-        const std::uint64_t walk = sw_here;
-        for_each_set_bit(walk, 0, [&](unsigned sw) {
-          const auto low = static_cast<unsigned>(sw & low_mask(b));
-          const unsigned high = (sw >> b) << (b + 1);
-          const PortId r0 = high | low;
-          const PortId r1 = r0 | (PortId{1} << b);
-
-          // Same-packet word order overrides the alternating priority.
-          // (src, inj) stands in for the scalar packet id: an ingress
-          // streams one packet at a time, and schedule() runs before
-          // injection, so an ingress's next grant (its next packet's inj)
-          // comes at least one cycle after its previous tail. Two words
-          // share (src, inj) exactly when they share a packet; inj cannot
-          // wrap below the horizon bound in lane_sim_fallback_reason.
-          PortId first_row = parity ? r1 : r0;
-          PortId second_row = parity ? r0 : r1;
-          const bool has0 = ((row_here >> r0) & 1) != 0;
-          const bool has1 = ((row_here >> r1) & 1) != 0;
-          if (has0 && has1 && links[r0].src == links[r1].src &&
-              links[r0].inj == links[r1].inj) {
-            const bool zero_first = links[r0].seq < links[r1].seq;
-            first_row = zero_first ? r0 : r1;
-            second_row = zero_first ? r1 : r0;
-          }
-
-          unsigned moved = 0;
-          for (const PortId in_row : {first_row, second_row}) {
-            if (((row_here >> in_row) & 1) == 0) continue;
-            const std::uint8_t dest = dst[in_row];
-            const PortId out_row =
-                (in_row & ~(PortId{1} << b)) |
-                (static_cast<PortId>((dest >> b) & 1u) << b);
-            const bool free =
-                last_stage || ((row_next >> out_row) & 1) == 0;
-            if (!free) continue;  // stall in place; upstream back-pressures
-            const Flit& slot = links[in_row];
-            if (last_stage) {
-              // move_word's delivery arm: wire charge, then straight to
-              // the egress (out_row == dest by the self-routing
-              // invariant the scalar asserts).
-              const int flips = toggled_bits(wl[out_row], slot.data);
-              wl[out_row] = slot.data;
-              if constexpr (kMeasured) {
-                wire_acc += wires_.flip_energy_j(flips, spec.grids);
-              } else {
-                (void)flips;
-              }
-              deliver(slot, out_row);
-            } else {
-              move_next(slot, dest, out_row);
-            }
-            vacate_here(in_row);
-            ++moved;
-          }
-          charge_activity(moved);
-        });
-      }
-
-      row_occ_[stage] = row_here;
-      sw_occ_[stage] = sw_here;
-      if (!last_stage) {
-        row_occ_[stage + 1] = row_next;
-        sw_occ_[stage + 1] = sw_next;
+        cross<false, true, kMeasured>(
+            spec, rows, occ_[slot], wl, parity, wire_acc, switch_acc,
+            deliver, meta_.data() + std::size_t{slot} * n_);
       }
     }
+    head_ = head_ + 1 == n_stages_ ? 0 : head_ + 1;
     if constexpr (kMeasured) {
       acc.wire_j = wire_acc;
       acc.switch_j = switch_acc;
+    }
+  }
+
+  /// One stage of one cohort: every switch that holds a word permutes its
+  /// two rows in place (an idle switch would add only +0.0). The word from
+  /// row r0 | first_bias << b adds (and delivers) first: first_bias is the
+  /// cycle's parity in banyan stages and 0 in sorter stages. `occ` follows
+  /// the rows; the last stage delivers and clears the slot.
+  template <bool kSorter, bool kLast, bool kMeasured, class Deliver>
+  void cross(const Stage& spec, std::uint64_t* rows, std::uint64_t& occ,
+             Word* wl, std::uint64_t first_bias, double& wire_acc,
+             double& switch_acc, Deliver& deliver, const Flit* meta) {
+    const unsigned b = spec.span_log2;
+    // Wire polarity advances only under a word; an idle row reads kAbsent.
+    const auto charge_wire = [&](unsigned row, std::uint64_t w) {
+      const auto keep = static_cast<Word>((w >> 63) - 1);
+      const Word flipped = (wl[row] ^ static_cast<Word>(w)) & keep;
+      wl[row] ^= flipped;
+      return spec.flip_j[popcount(flipped) + (w >> 57)];
+    };
+    const unsigned span = 1u << b;
+    std::uint64_t moved = 0;  // banyan: rows a lone word entered or left
+    const std::uint64_t walk = spec.r0_rows & (occ | occ >> span);
+    for_each_set_bit(walk, 0, [&](unsigned r0) {
+      const unsigned r1 = r0 | span;
+      const std::uint64_t w0 = rows[r0];
+      const std::uint64_t w1 = rows[r1];
+      std::uint64_t swap = 0;
+      if constexpr (kSorter) {
+        // Compare-exchange on the keys (data and src never decide: live
+        // keys are distinct, and two idle rows are equal): a descending
+        // switch compares its rows the other way round.
+        const std::uint64_t down = ((spec.asc >> r0) & 1) ^ 1;
+        const std::uint64_t lhs = w0 ^ ((w0 ^ w1) & (0 - down));
+        swap = lhs > (lhs ^ w0 ^ w1);
+      } else {
+        // Destination bit b routes: r0's word crosses on a 1, a lone r1
+        // word crosses on a 0 (an idle key has bit b clear).
+        assert(((w0 ^ w1) >> (kKeyShift + b) & 1) != 0 || w0 == kIdle ||
+               w1 == kIdle);
+        swap = ((w0 >> (kKeyShift + b)) |
+                (~w1 >> 63 & ~w1 >> (kKeyShift + b))) &
+               1;
+      }
+      // The word that adds first leaves on row_a, the other on row_b.
+      const std::uint64_t diff = w0 ^ w1;
+      const std::uint64_t word_a = w0 ^ (diff & (0 - first_bias));
+      const unsigned row_a =
+          r0 | static_cast<unsigned>((swap ^ first_bias) << b);
+      const unsigned row_b = row_a ^ span;
+      const double e_a = charge_wire(row_a, word_a);
+      const double e_b = charge_wire(row_b, word_a ^ diff);
+      if constexpr (kMeasured) {
+        wire_acc += e_a;
+        wire_acc += e_b;
+        switch_acc += spec.act[(w0 >> 63) + (w1 >> 63)];
+      } else {
+        (void)e_a;
+        (void)e_b;
+      }
+      if constexpr (kLast) {
+        // Span 0: a word leaves on the row of its destination.
+        if (word_a != kIdle) {
+          deliver(meta[(word_a >> kSrcShift) & 63], row_a);
+        }
+        if ((word_a ^ diff) != kIdle) {
+          deliver(meta[((word_a ^ diff) >> kSrcShift) & 63], row_b);
+        }
+        rows[r0] = kIdle;
+        rows[r1] = kIdle;
+      } else {
+        rows[row_a] = word_a;
+        rows[row_b] = word_a ^ diff;
+        if constexpr (!kSorter) {
+          const std::uint64_t lone_swap = swap & (diff >> 63);  // one idle
+          moved |= (lone_swap << r0) | (lone_swap << r1);
+        }
+      }
+    });
+    if constexpr (kSorter) {
+      // The stage's occupancy is the 0-1 compare-exchange of the old one:
+      // a lone word leaves on the low side (r0 if the switch ascends).
+      const std::uint64_t lo = occ & spec.r0_rows;
+      const std::uint64_t hi = (occ >> span) & spec.r0_rows;
+      const std::uint64_t any = lo | hi;
+      const std::uint64_t both = lo & hi;
+      occ = ((spec.asc & any) | (~spec.asc & both)) |
+            (((spec.asc & both) | (~spec.asc & any)) << span);
+    } else if constexpr (kLast) {
+      occ = 0;
+    } else {
+      occ ^= moved;
     }
   }
 };

@@ -8,11 +8,15 @@
 
 namespace sfab::detail {
 
-/// Bytes per in-fabric word of every fabric (SingleHopStage::Flit,
-/// BatcherStages::Flit, BanyanStages::Flit and MeshStages::Flit); the
+/// Bytes per in-fabric word of the single-hop, banyan and mesh fabrics
+/// (SingleHopStage::Flit, BanyanStages::Flit and MeshStages::Flit); the
 /// footprint estimate in lane_sim_fallback_reason() charges link and FIFO
 /// planes at this size.
 inline constexpr std::size_t kStageFlitBytes = 16;
+
+/// Bytes per (ring slot, row) of Batcher-Banyan's lockstep cohorts: the
+/// packed uint64 row plus the BatcherStages::Flit delivery record.
+inline constexpr std::size_t kBatcherRowBytes = 16;
 
 /// One run of `config` under config.seed on the packet engine. The caller
 /// (run_simulation) has already verified lane_sim_supported(config).

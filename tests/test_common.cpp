@@ -371,32 +371,6 @@ TEST(BitOps, FirstSetCyclicMatchesProbeWalk) {
   }
 }
 
-TEST(BitOps, CompressEvenBlocksMatchesPerBitGather) {
-  // The log-step unshuffle must equal the defining per-bit gather: result
-  // bit ((i >> (b+1)) << b) | (i & (2^b - 1)) is x bit i for every i with
-  // bit b clear — the row→switch fold the staged packet-lane fabrics use.
-  Rng rng{77};
-  for (unsigned b = 0; b < 6; ++b) {
-    for (int trial = 0; trial < 200; ++trial) {
-      const std::uint64_t x = rng.next_u64();
-      std::uint64_t expect = 0;
-      for (unsigned i = 0; i < 64; ++i) {
-        if (((i >> b) & 1u) != 0) continue;
-        const auto packed = static_cast<unsigned>(((i >> (b + 1)) << b) |
-                                                  (i & low_mask(b)));
-        expect |= ((x >> i) & 1u) != 0 ? std::uint64_t{1} << packed : 0;
-      }
-      EXPECT_EQ(compress_even_blocks(x, b), expect)
-          << "b " << b << " x " << x;
-    }
-  }
-  EXPECT_EQ(compress_even_blocks(~std::uint64_t{0}, 0),
-            0x00000000FFFFFFFFull);
-  EXPECT_EQ(compress_even_blocks(~std::uint64_t{0}, 5),
-            0x00000000FFFFFFFFull);
-  EXPECT_EQ(compress_even_blocks(0, 3), 0u);
-}
-
 TEST(PiecewiseLinear, ExactAtCalibrationPoints) {
   const PiecewiseLinear t{{1.0, 10.0}, {2.0, 20.0}, {4.0, 10.0}};
   EXPECT_DOUBLE_EQ(t(1.0), 10.0);

@@ -520,8 +520,9 @@ TEST(Characterize, CrosspointIsTheCheapestSwitch) {
 }
 
 TEST(Characterize, WithinOrderOfMagnitudeOfTable1) {
-  // The calibration contract with DESIGN.md: derived values land within
-  // ~3x of the paper's Power Compiler numbers.
+  // The calibration contract of src/gatelevel/switch_netlists.hpp (Table 1
+  // in shape, absolute values set by the cell-energy calibration): derived
+  // values land within ~3x of the paper's Power Compiler numbers.
   SwitchHarness h = build_banyan_switch(8);
   const auto lut = characterize_two_port_lut(h, {4000, 64, 19});
   EXPECT_GT(lut[0b01], 1080.0 * units::fJ / 3.0);

@@ -198,6 +198,42 @@ TEST(LaneSimFuzz, FullMaskPortsMatchRunForRun) {
   }
 }
 
+TEST(LaneSimFuzz, FullBatcherCohortsMatchAtEverySeed) {
+  // Batcher-Banyan's lockstep tick at its widest: 64 ports at load 1.0, so
+  // nearly every ingress streams every cycle and cohorts fill all 64 rows
+  // (bit-reversal makes every cycle's cohort a full permutation). The
+  // random draws above reach a full cohort only by chance.
+  SimConfig c;
+  c.arch = Architecture::kBatcherBanyan;
+  c.ports = 64;
+  c.offered_load = 1.0;
+  c.ingress_queue_packets = 4;
+  c.warmup_cycles = 50;
+  c.measure_cycles = 300;
+  c.seed = 0xFC0407;
+  for (const TrafficPatternKind pattern :
+       {TrafficPatternKind::kUniform, TrafficPatternKind::kBitReversal}) {
+    for (const unsigned words : {1u, 16u}) {
+      for (const RouterScheme scheme :
+           {RouterScheme::kFifo, RouterScheme::kVoq}) {
+        c.pattern = pattern;
+        c.packet_words = words;
+        c.scheme = scheme;
+        ASSERT_EQ(lane_sim_fallback_reason(c), LaneFallbackReason::kNone);
+        const std::string context =
+            "batcher-banyan@64 full " + std::string(to_string(pattern)) +
+            " " + std::to_string(words) + "-word " +
+            std::string(to_string(scheme));
+        if (pattern == TrafficPatternKind::kBitReversal && words == 1) {
+          // Every ingress sends a word every cycle: all cohorts are full.
+          EXPECT_EQ(run_simulation(c).egress_throughput, 1.0) << context;
+        }
+        pin_seeds(c, 3, context);
+      }
+    }
+  }
+}
+
 TEST(LaneSimFuzz, DeepMeshChainsMatchAtEverySeed) {
   // A saturated 8 x 8 mesh with one-word node FIFOs and no skid: most
   // words stall or wait on a freed register, so a tick runs long chains of
@@ -287,9 +323,9 @@ TEST(LaneSimFuzz, UnsupportedConfigsFallBackIdentically) {
     EXPECT_EQ(lane_sim_fallback_reason(h), LaneFallbackReason::kMeasure)
         << to_string(arch);
   }
-  // Batcher-Banyan names a packet by (ingress, injection cycle), so a
-  // 64-port run is bounded by the cycle horizon alone, whatever the port
-  // count.
+  // Batcher-Banyan keeps no packet name, only each word's 32-bit injection
+  // stamp, so a 64-port run is bounded by the cycle horizon alone, whatever
+  // the port count.
   h.arch = Architecture::kBatcherBanyan;
   h.measure_cycles = (Cycle{1} << 25) - h.warmup_cycles;
   EXPECT_EQ(lane_sim_fallback_reason(h), LaneFallbackReason::kNone);
