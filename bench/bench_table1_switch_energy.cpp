@@ -1,9 +1,10 @@
 // Reproduces paper Table 1: "Bit Energy Under Different Input Vectors".
 //
 // The shipped LUTs are the paper's Power Compiler characterization; this
-// bench prints them in the paper's layout so EXPERIMENTS.md can diff
-// paper-vs-framework directly. (bench_gatelevel_characterize shows how the
-// same table is *derived* from gate netlists.)
+// bench prints them in the paper's layout so they can be diffed against
+// the paper directly (ROADMAP.md item 5, the paper-fidelity ledger).
+// (bench_gatelevel_characterize shows how the same table is *derived* from
+// gate netlists.)
 #include <iostream>
 
 #include "common/units.hpp"

@@ -299,14 +299,17 @@ struct ObsOutputs {
   }
 };
 
+/// The values a sweep axis takes: its flag's list, or the base value.
+template <class T>
+std::vector<T> axis(const std::vector<T>& values, const T& base) {
+  return values.empty() ? std::vector<T>{base} : values;
+}
+
 /// Non-bursty traffic arrives as one Bernoulli draw per port per cycle at
 /// rate load / packet_words, so a rate above 1 would fail in every run.
 /// Rejecting it with the flags means a sharded sweep spawns no worker for
 /// it. Bursty traffic caps its on-rate at 1 and accepts any load.
 void reject_rate_above_one(const SweepSpec& spec) {
-  const auto axis = [](const auto& values, const auto& base) {
-    return values.empty() ? std::vector{base} : values;
-  };
   const auto patterns = axis(spec.patterns, spec.base.pattern);
   if (std::all_of(patterns.begin(), patterns.end(), [](auto p) {
         return p == TrafficPatternKind::kBursty;
@@ -323,6 +326,21 @@ void reject_rate_above_one(const SweepSpec& spec) {
                    "--pattern bursty accepts that";
         throw std::invalid_argument(message.str());
       }
+    }
+  }
+}
+
+/// Banyan and mesh node FIFOs cannot hold zero words, so such a grid would
+/// fail in every buffered run; the other fabrics ignore --buffer-words.
+void reject_zero_buffer_words(const SweepSpec& spec) {
+  const auto words =
+      axis(spec.buffer_words, spec.base.buffer_words_per_switch);
+  if (std::find(words.begin(), words.end(), 0u) == words.end()) return;
+  for (const Architecture arch : axis(spec.architectures, spec.base.arch)) {
+    if (arch == Architecture::kBanyan || arch == Architecture::kMesh) {
+      throw std::invalid_argument(
+          "--buffer-words must be >= 1 for --arch " +
+          std::string(to_string(arch)));
     }
   }
 }
@@ -503,6 +521,7 @@ int main(int argc, char** argv) {
       }
     }
     reject_rate_above_one(spec);
+    reject_zero_buffer_words(spec);
   } catch (const std::exception& error) {
     // Only a command line that does not parse gets the usage text.
     std::cerr << "sfab_cli: " << error.what() << "\n\n";

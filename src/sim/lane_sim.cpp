@@ -139,12 +139,15 @@ LaneFallbackReason lane_sim_fallback_reason(const SimConfig& c) noexcept {
       break;
     }
     case Architecture::kBanyan: {
+      // Per stage: a link word and a wire polarity per row, plus four row
+      // masks and two 33-entry flip tables; per ring (one per stage and
+      // row) its words and a head/size pair.
       if (c.buffer_words_per_switch > (1u << 20)) return R::kFootprint;
       const std::uint64_t stages = log2_exact(c.ports);
-      const std::uint64_t rings = stages * c.ports;  // (N/2) * 2
-      bytes += stages * (c.ports * (detail::kStageFlitBytes + 4) + 24) +
+      const std::uint64_t rings = stages * c.ports;
+      bytes += stages * (c.ports * (detail::kStageFlitBytes + 4) + 560) +
                rings * (std::uint64_t{c.buffer_words_per_switch} *
-                            (detail::kStageFlitBytes + 1) +
+                            detail::kStageFlitBytes +
                         8);
       break;
     }

@@ -925,17 +925,23 @@ struct BatcherStages {
   }
 };
 
-/// Banyan staged fabric: links and occupancy become per-stage plane words
-/// and each node FIFO becomes two ring planes, one per switch output bit,
-/// with a parallel in-SRAM flag array: the scalar FIFO's "oldest word for
-/// output b" scan is a ring-front read here. The scalar tick walks every
-/// switch of a stage; an idle switch (no input words, empty FIFO)
-/// contributes nothing except its priority toggle — which toggles every
-/// tick unconditionally and therefore equals cycle & 1 — so this tick
-/// walks an active-switch mask instead, bit-identically. Buffer READ/WRITE
-/// energy and the buffered/SRAM/stall counters follow the scalar order
-/// exactly; the counters accumulate across warmup (the scalar reports
-/// measurement-window deltas).
+/// Banyan staged fabric, decided a stage at a time in mask words. A stage
+/// keeps three row masks — link occupancy, bit `stage` of each link word's
+/// destination, and which node-FIFO rings are nonempty — beside its link
+/// words and rings. A node FIFO is two rings, one per switch output: ring
+/// (stage, o) holds the switch's buffered words bound for output row o in
+/// FIFO order, so its front is the word the reference's "oldest buffered
+/// word for this output" scan picks. The reference's per-switch input
+/// priority toggles every tick, so it equals cycle & 1.
+///
+/// Stages run downstream first, so the next stage's occupancy is final
+/// when a stage decides all its switches at once. A first walk makes the
+/// moves in the reference's order (switches ascending, output r0 before
+/// r1), so wire and switch adds and deliveries land as there; a second
+/// buffers or stalls the losers. After the tick's DRAM refresh every buffer
+/// add is the same double, access_j_, so a stage's READs going before its
+/// WRITEs leaves the sum unchanged. The buffered/SRAM/stall counters
+/// accumulate across warmup (the reference reports window deltas).
 struct BanyanStages {
   static constexpr bool kFixedLatency = false;  ///< queueing varies latency
 
@@ -945,46 +951,50 @@ struct BanyanStages {
     std::uint32_t inj = 0;  ///< head-injection cycle stamp
     std::uint32_t seq = 0;
     std::uint8_t dest = 0;
-    std::uint8_t row = 0;   ///< straight-vs-cross wire classification
+    std::uint8_t row = 0;   ///< input row at its stage: straight or cross
+    std::uint8_t sram = 0;  ///< buffered past the skid slots (READ charge)
   };
   static_assert(sizeof(Flit) == kStageFlitBytes);
 
+  /// A stage's row masks and wire-energy tables.
+  struct Stage {
+    std::uint64_t occ = 0;   ///< link holds a word
+    std::uint64_t dbit = 0;  ///< under occ: destination bit `stage`
+    std::uint64_t rnz = 0;   ///< ring (stage, row) is nonempty
+    std::uint64_t hi = 0;    ///< rows with bit `stage` set: each switch's r1
+    /// The doubles flip_energy_j(flips, len) returns (Eq. 6) at flips
+    /// 0..32, for the straight link [0] and the stage's crossing link [1].
+    double flip_j[2][33] = {};
+  };
+
+  struct Ring {
+    std::uint32_t head = 0, size = 0;
+  };
+
   unsigned n_ = 0;
   unsigned stages_ = 0;
+  std::uint64_t all_ = 0;   ///< every row
   std::uint32_t cap_ = 0;   ///< buffer_words_per_switch
   std::uint32_t skid_ = 0;  ///< buffer_skid_words
   bool charge_rw_ = false;
   bool dram_ = false;
   double access_j_ = 0.0;   ///< SRAM access energy per word
   double refresh_j_ = 0.0;  ///< DRAM refresh energy per cycle (Eq. 1 E_ref)
-  double act1_ = 0.0;
-  double act2_ = 0.0;
-  double straight_len_ = 0.0;        ///< straight link, grids
-  std::vector<double> cross_len_;    // [stage] crossing link, grids
-  WireEnergyModel wires_ = WireEnergyModel{};
-
-  std::vector<Flit> links_;          // [stage * n_ + row]
-  std::vector<std::uint64_t> occ_;   // [stage]
-  std::vector<Word> wire_last_;      // [stage * n_ + row]
-  /// Bit sw: switch has any input word or buffered word — the only
-  /// switches whose scalar iteration does anything.
-  std::vector<std::uint64_t> active_;  // [stage]
-
-  // Node FIFO ring planes. Ring r = (stage * (n_/2) + sw) * 2 + out_bit;
-  // slot = r * cap_ + pos.
-  std::vector<Flit> fifo_flit_;
-  std::vector<char> fifo_sram_;  ///< parallel in-SRAM flags (READ charging)
-  std::vector<std::uint32_t> fifo_head_;  // [ring]
-  std::vector<std::uint32_t> fifo_size_;  // [ring]
+  double act_[3] = {};      ///< switch energy by words moved (1 or 2)
+  std::vector<Stage> stage_;
+  std::vector<Flit> links_;      // [stage * n_ + row]
+  std::vector<Word> wire_last_;  // [stage * n_ + row]
+  std::vector<Flit> fifo_;       // [(stage * n_ + o) * cap_ + pos]
+  std::vector<Ring> rings_;      // [stage * n_ + o]
 
   void init(const SimConfig& c) {
     n_ = c.ports;
     stages_ = log2_exact(n_);
+    all_ = n_ == 64 ? ~std::uint64_t{0} : low_mask(n_);
     cap_ = static_cast<std::uint32_t>(c.buffer_words_per_switch);
     skid_ = static_cast<std::uint32_t>(c.buffer_skid_words);
     charge_rw_ = c.charge_buffer_read_and_write;
     dram_ = c.dram_buffers;
-    wires_ = WireEnergyModel{c.tech};
     const SramBufferModel buffer_model = SramBufferModel::for_banyan(
         c.ports,
         static_cast<double>(c.buffer_words_per_switch) * c.tech.bus_width);
@@ -996,34 +1006,33 @@ struct BanyanStages {
                                  c.dram_retention_s};
       refresh_j_ = dram.refresh_power_w() * c.tech.cycle_time_s();
     }
-    act1_ = c.switches.banyan2x2.energy_per_bit(0b01u) * c.tech.bus_width;
-    act2_ = c.switches.banyan2x2.energy_per_bit(0b11u) * c.tech.bus_width;
+    act_[1] = c.switches.banyan2x2.energy_per_bit(0b01u) * c.tech.bus_width;
+    act_[2] = c.switches.banyan2x2.energy_per_bit(0b11u) * c.tech.bus_width;
+    const WireEnergyModel wires{c.tech};
     const thompson::BanyanEmbedding embedding{c.ports};
-    straight_len_ = embedding.straight_link_grids();
-    cross_len_.reserve(stages_);
+    stage_.assign(stages_, Stage{});
     for (unsigned s = 0; s < stages_; ++s) {
-      cross_len_.push_back(embedding.cross_link_grids(s));
+      Stage& st = stage_[s];
+      for (unsigned row = 0; row < n_; ++row) {
+        st.hi |= std::uint64_t{bit_of(row, s)} << row;
+      }
+      const double len[2] = {embedding.straight_link_grids(),
+                             embedding.cross_link_grids(s)};
+      for (unsigned cross = 0; cross < 2; ++cross) {
+        for (unsigned f = 0; f <= 32; ++f) {
+          st.flip_j[cross][f] =
+              wires.flip_energy_j(static_cast<int>(f), len[cross]);
+        }
+      }
     }
-
     links_.assign(std::size_t{stages_} * n_, Flit{});
-    occ_.assign(stages_, 0);
     wire_last_.assign(std::size_t{stages_} * n_, 0);
-    active_.assign(stages_, 0);
-    const std::size_t rings = std::size_t{stages_} * (n_ / 2) * 2;
-    fifo_flit_.assign(rings * cap_, Flit{});
-    fifo_sram_.assign(rings * cap_, 0);
-    fifo_head_.assign(rings, 0);
-    fifo_size_.assign(rings, 0);
-  }
-
-  [[nodiscard]] static unsigned switch_of(unsigned stage, PortId row) {
-    const auto low = static_cast<unsigned>(row & low_mask(stage));
-    const unsigned high = (row >> (stage + 1)) << stage;
-    return high | low;
+    fifo_.assign(std::size_t{stages_} * n_ * cap_, Flit{});
+    rings_.assign(std::size_t{stages_} * n_, Ring{});
   }
 
   [[nodiscard]] bool can_accept(PortId ingress) const {
-    return ((occ_[0] >> ingress) & 1) == 0;
+    return ((stage_[0].occ >> ingress) & 1) == 0;
   }
 
   void inject(PortId ingress, PortId dest, Word data, std::uint32_t seq,
@@ -1031,154 +1040,135 @@ struct BanyanStages {
     links_[ingress] =
         Flit{data, static_cast<std::uint32_t>(inj), seq,
              static_cast<std::uint8_t>(dest),
-             static_cast<std::uint8_t>(ingress)};
-    occ_[0] |= std::uint64_t{1} << ingress;
-    active_[0] |= std::uint64_t{1} << switch_of(0, ingress);
+             static_cast<std::uint8_t>(ingress), 0};
+    const std::uint64_t bit = std::uint64_t{1} << ingress;
+    stage_[0].occ |= bit;
+    stage_[0].dbit =
+        (stage_[0].dbit & ~bit) | (std::uint64_t{dest & 1u} << ingress);
   }
 
   template <bool kMeasured, class Deliver>
   void tick(Cycle cycle, Accum& acc, Deliver&& deliver) {
     // Register-held energy accumulators, as in the Batcher-Banyan tick:
     // same adds in the same order, written back once.
-    double wire_acc = 0.0;
-    double switch_acc = 0.0;
-    double buffer_acc = 0.0;
+    double wire_acc = 0.0, switch_acc = 0.0, buffer_acc = 0.0;
     if constexpr (kMeasured) {
       wire_acc = acc.wire_j;
       switch_acc = acc.switch_j;
       buffer_acc = acc.buffer_j;
       if (dram_) buffer_acc += refresh_j_;
     }
-    const unsigned half = n_ / 2;
-    const bool parity = (cycle & 1) != 0;  // input_priority_, all switches
-    for (unsigned stage = stages_; stage-- > 0;) {
-      // Snapshot walk over the active mask; occupancy and activity words
-      // stay in locals for the stage (switches touch disjoint rows) and
-      // are stored back once.
-      const std::uint64_t walk = active_[stage];
-      if (walk == 0) continue;  // scalar iterates only no-op switches
-      const bool last_stage = (stage == stages_ - 1);
-      Flit* const links = links_.data() + std::size_t{stage} * n_;
-      Word* const wl = wire_last_.data() + std::size_t{stage} * n_;
-      const std::size_t fbase = std::size_t{stage} * half;
-      std::uint64_t occ_here = occ_[stage];
-      std::uint64_t act_here = walk;
-      std::uint64_t occ_next = last_stage ? 0 : occ_[stage + 1];
-      std::uint64_t act_next = last_stage ? 0 : active_[stage + 1];
-      for_each_set_bit(walk, 0, [&](unsigned sw) {
-        const auto low = static_cast<unsigned>(sw & low_mask(stage));
-        const unsigned high = (sw >> stage) << (stage + 1);
-        const PortId r0 = high | low;
-        const PortId r1 = r0 | (PortId{1} << stage);
-        const std::size_t fi = (fbase + sw) * 2;  // ring pair base
-        const PortId first_row = parity ? r1 : r0;
-        const PortId second_row = parity ? r0 : r1;
-        unsigned moved = 0;
+    const bool parity = (cycle & 1) != 0;  // every switch's input priority
+    for (unsigned s = stages_; s-- > 0;) {
+      Stage& st = stage_[s];
+      const std::uint64_t occ = st.occ;
+      if ((occ | st.rnz) == 0) continue;  // no word at any switch
+      const bool last = s + 1 == stages_;
+      Stage* const next = last ? nullptr : &stage_[s + 1];
+      const unsigned span = 1u << s;
+      const std::uint64_t hi = st.hi;
+      const std::uint64_t lo = all_ & ~hi;
+      const auto pair_of = [&](std::uint64_t m) {  // bit r -> bit r ^ span
+        return ((m & lo) << span) | ((m & hi) >> span);
+      };
+      // Every decision by output row o: a free output pops its ring if the
+      // ring holds a word, else takes the input on its own row (straight)
+      // or on the partner row (cross) heading to it; when both head there,
+      // the cycle's priority row wins (r0 on even cycles), which is the
+      // straight input at r0 outputs and the cross input at r1 outputs.
+      const std::uint64_t free = last ? all_ : all_ & ~next->occ;
+      const std::uint64_t pop = free & st.rnz;
+      const std::uint64_t open = free & ~st.rnz;
+      const std::uint64_t crossing = occ & (st.dbit ^ hi);  // by input row
+      const std::uint64_t straight = occ & ~crossing;
+      const std::uint64_t cross = pair_of(crossing);
+      const std::uint64_t pref = parity ? hi : lo;
+      const std::uint64_t take_s = open & straight & (pref | ~cross);
+      const std::uint64_t take_c = open & cross & ~take_s;
+      const std::uint64_t moves = pop | take_s | take_c;
+      const std::uint64_t losers = occ & ~(take_s | pair_of(take_c));
 
-        for (const unsigned out_bit : {0u, 1u}) {
-          const PortId out_row = (r0 & ~(PortId{1} << stage)) |
-                                 (static_cast<PortId>(out_bit) << stage);
-          const bool slot_free =
-              last_stage || ((occ_next >> out_row) & 1) == 0;
-          if (!slot_free) continue;
+      Flit* const links = links_.data() + std::size_t{s} * n_;
+      Word* const wl = wire_last_.data() + std::size_t{s} * n_;
+      Ring* const rings = rings_.data() + std::size_t{s} * n_;
+      Flit* const fifo = fifo_.data() + std::size_t{s} * n_ * cap_;
+      std::uint64_t rnz = st.rnz;
 
-          // Oldest buffered word for this output goes first; otherwise
-          // take the priority input whose destination bit matches.
-          Flit mover;
-          bool have = false;
-          const std::size_t ring = fi + out_bit;
-          if (fifo_size_[ring] != 0) {
-            const std::size_t slot =
-                ring * cap_ + fifo_head_[ring];
-            mover = fifo_flit_[slot];
-            if (fifo_sram_[slot] != 0 && charge_rw_) {
-              if constexpr (kMeasured) {
-                buffer_acc += access_j_;  // the READ back out
-              }
-            }
-            if (++fifo_head_[ring] == cap_) fifo_head_[ring] = 0;
-            --fifo_size_[ring];
-            have = true;
-          } else {
-            for (const PortId in_row : {first_row, second_row}) {
-              if (((occ_here >> in_row) & 1) != 0 &&
-                  ((links[in_row].dest >> stage) & 1u) == out_bit) {
-                mover = links[in_row];
-                occ_here &= ~(std::uint64_t{1} << in_row);
-                have = true;
-                break;
-              }
-            }
-          }
-          if (!have) continue;
-
-          // charge_wire: straight link vs stage crossing.
-          const double grids =
-              mover.row == out_row ? straight_len_ : cross_len_[stage];
-          const int flips = toggled_bits(wl[out_row], mover.data);
-          wl[out_row] = mover.data;
+      // Walk 1: every move and switch add, in switch order.
+      assert(last || (moves & next->occ) == 0);  // only onto free rows
+      std::uint64_t next_dbit = last ? 0 : next->dbit;
+      const auto move = [&](unsigned o) {
+        Flit f;
+        if ((pop >> o) & 1) {
+          Ring& ring = rings[o];
+          assert(ring.size != 0);
+          f = fifo[std::size_t{o} * cap_ + ring.head];
           if constexpr (kMeasured) {
-            wire_acc += wires_.flip_energy_j(flips, grids);
-          } else {
-            (void)flips;
+            if (f.sram != 0 && charge_rw_) buffer_acc += access_j_;  // READ
           }
-          mover.row = static_cast<std::uint8_t>(out_row);
-          ++moved;
-          if (last_stage) {
-            deliver(mover, out_row);
-          } else {
-            links[n_ + out_row] = mover;  // stage + 1 plane is contiguous
-            occ_next |= std::uint64_t{1} << out_row;
-            act_next |= std::uint64_t{1} << switch_of(stage + 1, out_row);
-          }
+          if (++ring.head == cap_) ring.head = 0;
+          if (--ring.size == 0) rnz &= ~(std::uint64_t{1} << o);
+        } else {
+          f = links[o ^ (static_cast<unsigned>((take_c >> o) & 1) << s)];
         }
-
-        // Losers go to the FIFO (skid slots free, deeper backlog pays the
-        // SRAM WRITE); a full FIFO stalls them in place.
-        for (const PortId in_row : {r0, r1}) {
-          if (((occ_here >> in_row) & 1) == 0) continue;
-          if (fifo_size_[fi] + fifo_size_[fi + 1] < cap_) {
-            const bool in_sram =
-                fifo_size_[fi] + fifo_size_[fi + 1] >= skid_;
-            if (in_sram) {
-              if constexpr (kMeasured) {
-                buffer_acc += access_j_;  // the WRITE
-              }
-              ++acc.sram;
-            }
-            ++acc.buffered;
-            const Flit& slot = links[in_row];
-            const unsigned bit = (slot.dest >> stage) & 1u;
-            const std::size_t ring = fi + bit;
-            std::uint32_t tail = fifo_head_[ring] + fifo_size_[ring];
-            if (tail >= cap_) tail -= cap_;
-            fifo_flit_[ring * cap_ + tail] = slot;
-            fifo_sram_[ring * cap_ + tail] = in_sram ? 1 : 0;
-            ++fifo_size_[ring];
-            occ_here &= ~(std::uint64_t{1} << in_row);
-          } else {
-            ++acc.stalls;
-          }
-        }
-
         if constexpr (kMeasured) {
-          if (moved != 0) {
-            switch_acc += moved >= 2 ? act2_ : act1_;
-          }
+          wire_acc += st.flip_j[(f.row ^ o) >> s][popcount(wl[o] ^ f.data)];
         }
-        // Dormancy: drop the switch from the active mask once it holds no
-        // state (the scalar would keep iterating it as a no-op).
-        if ((((occ_here >> r0) | (occ_here >> r1)) & 1) == 0 &&
-            fifo_size_[fi] == 0 && fifo_size_[fi + 1] == 0) {
-          act_here &= ~(std::uint64_t{1} << sw);
+        wl[o] = f.data;
+        if (last) {
+          deliver(f, static_cast<PortId>(o));
+        } else {
+          f.row = static_cast<std::uint8_t>(o);
+          links[n_ + o] = f;  // stage + 1 plane is contiguous
+          next_dbit ^= (((next_dbit >> o) ^ (f.dest >> (s + 1))) & 1) << o;
         }
+      };
+      // Switches ascend with their r0 row, so walk the r0 rows of switches
+      // that move a word.
+      const std::uint64_t up = moves >> span;  // bit r0: output r1 moves
+      for_each_set_bit(lo & (moves | up), 0, [&](unsigned r0) {
+        const unsigned m0 = (moves >> r0) & 1, m1 = (up >> r0) & 1;
+        if (m0) move(r0);
+        if (m1) move(r0 | span);
+        if constexpr (kMeasured) switch_acc += act_[m0 + m1];
       });
-      occ_[stage] = occ_here;
-      active_[stage] = act_here;
-      if (!last_stage) {
-        occ_[stage + 1] = occ_next;
-        active_[stage + 1] = act_next;
+      if (!last) {
+        next->occ |= moves;
+        next->dbit = next_dbit;
       }
+
+      // Walk 2, rows ascending (only r0 before r1 within a switch matters):
+      // each loser joins its switch's FIFO, in the ring of the output it
+      // heads to, or stalls on its link when the FIFO is full.
+      std::uint64_t stalled = 0;
+      for_each_set_bit(losers, 0, [&](unsigned in) {
+        const unsigned r0 = in & ~span;
+        const std::uint32_t held = rings[r0].size + rings[r0 | span].size;
+        if (held >= cap_) {
+          ++acc.stalls;
+          stalled |= std::uint64_t{1} << in;
+          return;
+        }
+        const bool in_sram = held >= skid_;
+        if (in_sram) {
+          if constexpr (kMeasured) buffer_acc += access_j_;  // the WRITE
+          ++acc.sram;
+        }
+        ++acc.buffered;
+        const unsigned o =
+            r0 | (static_cast<unsigned>((st.dbit >> in) & 1) << s);
+        Ring& ring = rings[o];
+        std::uint32_t tail = ring.head + ring.size;
+        if (tail >= cap_) tail -= cap_;
+        Flit& slot = fifo[std::size_t{o} * cap_ + tail];
+        slot = links[in];
+        slot.sram = in_sram ? 1 : 0;
+        ++ring.size;
+        assert(rings[r0].size + rings[r0 | span].size <= cap_);
+        rnz |= std::uint64_t{1} << o;
+      });
+      st.occ = stalled;
+      st.rnz = rnz;
     }
     if constexpr (kMeasured) {
       acc.wire_j = wire_acc;
@@ -1191,8 +1181,8 @@ struct BanyanStages {
 /// Mesh staged fabric (the network-on-chip extension): the scalar
 /// MeshFabric's k x k routers under XY routing. Input registers become
 /// [router * 5 + side] planes with one occupancy word per side, and each
-/// router's shared FIFO becomes five rings, one per output, with a
-/// parallel in-SRAM flag (the banyan ring idiom) and one per-router count
+/// router's shared FIFO becomes five rings, one per output (as banyan's
+/// node FIFOs), with a parallel in-SRAM flag and one per-router count
 /// against buffer_words_per_switch. A word joins the ring of the output it
 /// routes to, in FIFO order, so the front of ring o is exactly the word the
 /// scalar's "oldest buffered word headed for o" scan returns. A byte table

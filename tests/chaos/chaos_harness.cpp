@@ -3,13 +3,14 @@
 //   chaos_harness <sfab_cli> <scenario> <seed> [--cycles N] [--workdir D]
 //
 // Scenarios (all share one fixed 12-run banyan workload):
-//   kill       SIGKILL a worker at a seeded random point mid-sweep; the
-//              survivor reclaims its stale claim and resumes from the
-//              streamed row prefix.
-//   stop       SIGSTOP a worker (live process, frozen heartbeat); the
-//              survivor reclaims and re-runs; SIGCONT resurrects the
-//              zombie, whose duplicate appends and idempotent commit must
-//              be harmless.
+//   kill       SIGKILL a worker mid-shard, after a seeded number of its
+//              streamed rows; it must die of the signal, and the survivor
+//              must record a reclaim of its stale claim and resume from
+//              the streamed row prefix.
+//   stop       SIGSTOP a worker mid-shard the same way (live process,
+//              frozen heartbeat); the survivor must record a reclaim and
+//              re-run; SIGCONT resurrects the zombie, whose duplicate
+//              appends and idempotent commit must be harmless.
 //   straggler  one worker sleeps 600 ms after every run; with 12 one-run
 //              shards the other worker must claim around it, so the
 //              sweep settles in under half the straggler's solo time.
@@ -29,10 +30,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <csignal>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <iostream>
+#include <iterator>
 #include <random>
 #include <sstream>
 #include <string>
@@ -149,6 +154,38 @@ void sleep_ms(unsigned ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
+/// Polls until worker `pid` holds the claim on shard `key` of `dir` and
+/// has streamed at least `rows` of its rows, i.e. the worker is mid-shard.
+/// False if `pid` exits first or a minute passes.
+[[nodiscard]] bool await_streamed_rows(const fs::path& dir, pid_t pid,
+                                       const std::string& key,
+                                       std::size_t rows) {
+  const std::string tag = ":" + std::to_string(pid) + ":";
+  for (int polls = 0; polls < 60000; ++polls) {
+    std::ifstream claim(dir / "claims" / ("shard-" + key + ".claim"));
+    std::string owner;
+    if (std::getline(claim, owner) && owner.find(tag) != std::string::npos) {
+      std::ifstream parts(dir / "parts" / ("shard-" + key + ".rows"));
+      const auto streamed =
+          std::count(std::istreambuf_iterator<char>(parts),
+                     std::istreambuf_iterator<char>(), '\n');
+      if (static_cast<std::size_t>(streamed) >= rows) return true;
+    }
+    siginfo_t info{};
+    if (::waitid(P_PID, static_cast<id_t>(pid), &info,
+                 WEXITED | WNOHANG | WNOWAIT) == 0 &&
+        info.si_pid == pid) {
+      return false;  // exited (left for wait_exit to reap)
+    }
+    sleep_ms(1);
+  }
+  return false;
+}
+
+[[nodiscard]] bool reclaimed(const fs::path& dir, const std::string& key) {
+  return dist::ShardLedger(dir.string(), 1.0).reclaim_count(key) > 0;
+}
+
 [[nodiscard]] fs::path scenario_dir(Harness& h, const std::string& name) {
   const fs::path dir = h.workdir / name;
   fs::remove_all(dir);
@@ -170,32 +207,47 @@ void check_golden_merge(const Harness& h, const std::string& shard_dir,
 
 // --- scenarios ---------------------------------------------------------------
 
+/// Two six-run shards, so the fault lands mid-shard: worker 0 walks the
+/// plan from its end and first claims shard "1" (runs 6..11), worker 1
+/// shard "0". The fault waits for 1..5 (seeded) of worker 0's streamed
+/// rows, so at least one of its runs is still to go.
+const std::vector<std::string> kTwoShards = {"--shard-count", "2",
+                                             "--max-reclaims", "10"};
+
 void scenario_kill(Harness& h) {
   const fs::path dir = scenario_dir(h, "kill");
   const Env none;
-  const pid_t victim =
-      spawn(worker_argv(h, dir, 2, 0, {"--max-reclaims", "10"}), none);
-  const pid_t survivor =
-      spawn(worker_argv(h, dir, 2, 1, {"--max-reclaims", "10"}), none);
-  sleep_ms(100 + h.rng() % 400);
+  const pid_t victim = spawn(worker_argv(h, dir, 2, 0, kTwoShards), none);
+  const pid_t survivor = spawn(worker_argv(h, dir, 2, 1, kTwoShards), none);
+  const std::size_t rows = 1 + h.rng() % 5;
+  CHECK(await_streamed_rows(dir, victim, "1", rows),
+        "kill: the victim never streamed " + std::to_string(rows) +
+            " row(s) of shard 1");
   ::kill(victim, SIGKILL);
-  (void)wait_exit(victim);
+  CHECK(wait_exit(victim) == 128 + SIGKILL,
+        "kill: the victim did not die of SIGKILL");
   // The survivor only exits once the sweep settles — which reclaims the
   // victim's stale claim and resumes from its streamed rows.
   CHECK(wait_exit(survivor) == 0, "kill: surviving worker failed");
+  CHECK(reclaimed(dir, "1"), "kill: the ledger recorded no reclaim");
   check_golden_merge(h, dir, "kill");
 }
 
 void scenario_stop(Harness& h) {
   const fs::path dir = scenario_dir(h, "stop");
   const Env none;
-  const pid_t frozen =
-      spawn(worker_argv(h, dir, 2, 0, {"--max-reclaims", "10"}), none);
-  const pid_t survivor =
-      spawn(worker_argv(h, dir, 2, 1, {"--max-reclaims", "10"}), none);
-  sleep_ms(100 + h.rng() % 400);
+  const pid_t frozen = spawn(worker_argv(h, dir, 2, 0, kTwoShards), none);
+  const pid_t survivor = spawn(worker_argv(h, dir, 2, 1, kTwoShards), none);
+  const std::size_t rows = 1 + h.rng() % 5;
+  CHECK(await_streamed_rows(dir, frozen, "1", rows),
+        "stop: the frozen worker never streamed " + std::to_string(rows) +
+            " row(s) of shard 1");
   ::kill(frozen, SIGSTOP);
+  int status = 0;
+  CHECK(::waitpid(frozen, &status, WUNTRACED) == frozen && WIFSTOPPED(status),
+        "stop: the frozen worker did not stop");
   CHECK(wait_exit(survivor) == 0, "stop: surviving worker failed");
+  CHECK(reclaimed(dir, "1"), "stop: the ledger recorded no reclaim");
   // Resurrect the zombie: its duplicate row appends must dedupe and its
   // fragment commit must be an idempotent identical-bytes install.
   ::kill(frozen, SIGCONT);

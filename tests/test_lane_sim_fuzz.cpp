@@ -83,10 +83,10 @@ void pin_seeds(SimConfig config, unsigned seeds, const std::string& context) {
 /// with randomized shape, pattern, payload, and scheduler depth — plus
 /// the node-FIFO knobs when the cell has node FIFOs (banyan, mesh; mesh
 /// ignores dram_buffers, and the draw checks that it does). Crossbar,
-/// fully-connected and Batcher-Banyan draw up to 64 ports, so the
-/// full-mask (n == 64) paths of the single-hop stage and the fronts are
-/// fuzzed too. Cycle counts stay small — divergence shows up within a few
-/// hundred cycles or not at all.
+/// fully-connected, Batcher-Banyan and banyan draw up to 64 ports, so the
+/// full-mask (n == 64) paths of the fabrics and the fronts are fuzzed too.
+/// Cycle counts stay small — divergence shows up within a few hundred
+/// cycles or not at all.
 SimConfig random_config(Architecture arch, RouterScheme scheme,
                         std::uint64_t seed) {
   Rng rng{seed};
@@ -99,7 +99,7 @@ SimConfig random_config(Architecture arch, RouterScheme scheme,
   } else if (arch == Architecture::kBanyan || arch == Architecture::kMesh) {
     constexpr unsigned kSquares[] = {4, 9, 16, 25, 36, 49, 64};  // k x k
     c.ports = arch == Architecture::kBanyan
-                  ? 2u << rng.next_below(4)  // 2..16, power of two
+                  ? 2u << rng.next_below(6)  // 2..64, power of two
                   : kSquares[rng.next_below(std::size(kSquares))];
     c.buffer_words_per_switch = 1 + static_cast<unsigned>(rng.next_below(6));
     c.buffer_skid_words = static_cast<unsigned>(rng.next_below(3));
@@ -178,11 +178,12 @@ TEST(LaneSimFuzz, RandomConfigsMatchScalarRunForRun) {
 
 TEST(LaneSimFuzz, FullMaskPortsMatchRunForRun) {
   // At 64 ports every port mask is a full word: the single-hop stage's
-  // occupancy walk, both fronts' masks and Batcher-Banyan's widest sorter.
-  // The random draws above reach 64 only by chance, so pin it here.
-  constexpr Architecture kArchs[] = {Architecture::kCrossbar,
-                                     Architecture::kFullyConnected,
-                                     Architecture::kBatcherBanyan};
+  // occupancy walk, both fronts' masks, Batcher-Banyan's widest sorter and
+  // banyan's row masks. The random draws above reach 64 only by chance, so
+  // pin it here.
+  constexpr Architecture kArchs[] = {
+      Architecture::kCrossbar, Architecture::kFullyConnected,
+      Architecture::kBatcherBanyan, Architecture::kBanyan};
   std::uint64_t case_seed = 0;
   for (const Architecture arch : kArchs) {
     for (const RouterScheme scheme :
@@ -229,6 +230,53 @@ TEST(LaneSimFuzz, FullBatcherCohortsMatchAtEverySeed) {
           EXPECT_EQ(run_simulation(c).egress_throughput, 1.0) << context;
         }
         pin_seeds(c, 3, context);
+      }
+    }
+  }
+}
+
+TEST(LaneSimFuzz, DeepBanyanBacklogMatchesAtEverySeed) {
+  // Banyan at its widest under a backlog: 64 ports at load 1.0, so most
+  // switches hold words every tick. One-word FIFOs stall, 128-word FIFOs
+  // (the production depth) keep long rings, a zero skid sends every
+  // buffered word to the SRAM and a skid above the buffer none. DRAM
+  // refresh adds to every tick, and reads are not charged.
+  SimConfig c;
+  c.arch = Architecture::kBanyan;
+  c.ports = 64;
+  c.offered_load = 1.0;
+  c.packet_words = 4;
+  c.hotspot_port = 5;
+  c.hotspot_fraction = 0.5;
+  c.dram_buffers = true;
+  c.charge_buffer_read_and_write = false;
+  c.warmup_cycles = 100;
+  c.measure_cycles = 300;
+  c.seed = 0xBA64;
+  for (const TrafficPatternKind pattern :
+       {TrafficPatternKind::kUniform, TrafficPatternKind::kHotspot}) {
+    for (const unsigned words : {1u, 3u, 128u}) {
+      for (const unsigned skid : {0u, words + 1}) {
+        for (const RouterScheme scheme :
+             {RouterScheme::kFifo, RouterScheme::kVoq}) {
+          c.pattern = pattern;
+          c.buffer_words_per_switch = words;
+          c.buffer_skid_words = skid;
+          c.scheme = scheme;
+          ASSERT_EQ(lane_sim_fallback_reason(c), LaneFallbackReason::kNone);
+          const std::string context =
+              "banyan@64 " + std::string(to_string(pattern)) + " " +
+              std::to_string(words) + "-word skid " + std::to_string(skid) +
+              " " + std::string(to_string(scheme));
+          const SimResult r = run_simulation(c);
+          if (words == 1) {
+            EXPECT_GT(r.stall_cycles, 0u) << context;
+          }
+          if (skid == 0) {
+            EXPECT_GT(r.sram_buffered_words, 0u) << context;
+          }
+          pin_seeds(c, 3, context);
+        }
       }
     }
   }
