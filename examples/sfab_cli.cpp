@@ -5,7 +5,7 @@
 //   sfab_cli --arch crossbar,banyan --ports 8,16,32 --load 0.1,0.3,0.5
 //            --replicates 3 --threads 8 --csv sweep.csv
 //
-// Every axis flag accepts a comma-separated list; the cross product runs
+// Every sweep flag accepts a comma-separated list; the cross product runs
 // through exp/SweepRunner with deterministic per-run seeds (bit-identical
 // at any --threads value). A single run prints the full measurement block;
 // a sweep prints a summary table. --csv <path> writes the stable
@@ -30,7 +30,9 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/parse.hpp"
@@ -56,7 +58,8 @@ void print_usage() {
       "usage: sfab_cli [options]   (list-valued flags take a,b,c)\n"
       "  --arch LIST        crossbar | fully-connected | banyan |\n"
       "                     batcher-banyan | mesh          [crossbar]\n"
-      "  --ports LIST       port count (power of two; mesh: square) [16]\n"
+      "  --ports LIST       port count 2..64 (banyan-class: power of\n"
+      "                     two; mesh: square)                      [16]\n"
       "  --load LIST        offered load, words/port/cycle in (0,1]  [0.4]\n"
       "  --pattern LIST     uniform | bit-reversal | hotspot | bursty\n"
       "                                                        [uniform]\n"
@@ -238,9 +241,8 @@ void print_gap_report(const dist::MergeOutput& merged) {
 
 /// Names the config a quarantined shard's suspect run would have
 /// executed — the thing the operator must fix or exclude.
-void print_poisoned_configs(const SweepSpec& spec,
+void print_poisoned_configs(const std::vector<RunPlan>& plans,
                             const std::vector<dist::PoisonRecord>& poisoned) {
-  const std::vector<RunPlan> plans = spec.expand();
   for (const dist::PoisonRecord& poison : poisoned) {
     std::cerr << "sfab_cli: shard " << poison.key
               << " quarantined at run " << poison.suspect;
@@ -299,50 +301,22 @@ struct ObsOutputs {
   }
 };
 
-/// The values a sweep axis takes: its flag's list, or the base value.
-template <class T>
-std::vector<T> axis(const std::vector<T>& values, const T& base) {
-  return values.empty() ? std::vector<T>{base} : values;
-}
-
-/// Non-bursty traffic arrives as one Bernoulli draw per port per cycle at
-/// rate load / packet_words, so a rate above 1 would fail in every run.
-/// Rejecting it with the flags means a sharded sweep spawns no worker for
-/// it. Bursty traffic caps its on-rate at 1 and accepts any load.
-void reject_rate_above_one(const SweepSpec& spec) {
-  const auto patterns = axis(spec.patterns, spec.base.pattern);
-  if (std::all_of(patterns.begin(), patterns.end(), [](auto p) {
-        return p == TrafficPatternKind::kBursty;
-      })) {
-    return;
-  }
-  for (const double load : axis(spec.loads, spec.base.offered_load)) {
-    for (const unsigned words :
-         axis(spec.packet_words, spec.base.packet_words)) {
-      if (load / words > 1.0) {
-        std::ostringstream message;
-        message << "--load " << load << " over --packet-words " << words
-                << " is more than one packet per port per cycle; only "
-                   "--pattern bursty accepts that";
-        throw std::invalid_argument(message.str());
-      }
+/// validate() starts its message with the SimConfig field at fault; the
+/// user typed the flag that sets it.
+std::string name_flag(std::string message) {
+  static constexpr std::pair<std::string_view, std::string_view> kFlagOf[] = {
+      {"ports", "--ports"},
+      {"offered_load", "--load"},
+      {"packet_words", "--packet-words"},
+      {"buffer_words_per_switch", "--buffer-words"},
+      {"measure_cycles", "--cycles"},
+      {"warmup_cycles", "--warmup"}};
+  for (const auto& [field, flag] : kFlagOf) {
+    if (message.starts_with(field) && message[field.size()] == ' ') {
+      return message.replace(0, field.size(), flag);
     }
   }
-}
-
-/// Banyan and mesh node FIFOs cannot hold zero words, so such a grid would
-/// fail in every buffered run; the other fabrics ignore --buffer-words.
-void reject_zero_buffer_words(const SweepSpec& spec) {
-  const auto words =
-      axis(spec.buffer_words, spec.base.buffer_words_per_switch);
-  if (std::find(words.begin(), words.end(), 0u) == words.end()) return;
-  for (const Architecture arch : axis(spec.architectures, spec.base.arch)) {
-    if (arch == Architecture::kBanyan || arch == Architecture::kMesh) {
-      throw std::invalid_argument(
-          "--buffer-words must be >= 1 for --arch " +
-          std::string(to_string(arch)));
-    }
-  }
+  return message;
 }
 
 /// One line on stderr when a result cache was in play this sweep.
@@ -369,6 +343,7 @@ int main(int argc, char** argv) {
   SweepSpec spec;
   spec.base.ports = 16;
   spec.base.offered_load = 0.4;
+  std::vector<RunPlan> plans;
   unsigned threads = 0;
   std::string csv_path;
   ObsOutputs obs_outputs;
@@ -405,12 +380,7 @@ int main(int argc, char** argv) {
         });
       } else if (flag == "--load") {
         spec.loads = parse_list<double>(next(), [&](const std::string& s) {
-          const double load = parse_flag<double>(flag, s);
-          if (!(load >= 0.0 && std::isfinite(load))) {
-            throw std::invalid_argument(
-                "--load must be a finite number >= 0, got '" + s + "'");
-          }
-          return load;
+          return parse_flag<double>(flag, s);
         });
       } else if (flag == "--pattern") {
         spec.patterns = parse_list<TrafficPatternKind>(
@@ -449,11 +419,7 @@ int main(int argc, char** argv) {
       } else if (flag == "--packet-words") {
         spec.packet_words =
             parse_list<unsigned>(next(), [&](const std::string& s) {
-              const auto words = parse_flag<unsigned>(flag, s);
-              if (words == 0) {
-                throw std::invalid_argument("--packet-words must be >= 1");
-              }
-              return words;
+              return parse_flag<unsigned>(flag, s);
             });
       } else if (flag == "--replicates") {
         spec.replicates = parse_flag<unsigned>(flag, next());
@@ -520,11 +486,13 @@ int main(int argc, char** argv) {
         throw std::invalid_argument("unknown option " + flag);
       }
     }
-    reject_rate_above_one(spec);
-    reject_zero_buffer_words(spec);
+    // Every run is validated here, so a bad grid fails before any run
+    // starts or any worker is spawned.
+    plans = spec.expand();
   } catch (const std::exception& error) {
-    // Only a command line that does not parse gets the usage text.
-    std::cerr << "sfab_cli: " << error.what() << "\n\n";
+    // Only a command line that does not parse or expand gets the usage
+    // text.
+    std::cerr << "sfab_cli: " << name_flag(error.what()) << "\n\n";
     print_usage();
     return 1;
   }
@@ -637,7 +605,7 @@ int main(int argc, char** argv) {
         // Settled, but some shards are quarantined: name the crashing
         // configs and exit 2. With --allow-quarantined, also emit what
         // survived plus the precise gap report.
-        print_poisoned_configs(spec, report.poisoned);
+        print_poisoned_configs(plans, report.poisoned);
         if (allow_quarantined) {
           dist::MergeOptions merge_options;
           merge_options.expected_fingerprint = dist::fingerprint_of(spec);
@@ -667,16 +635,18 @@ int main(int argc, char** argv) {
     if (!probe_path.empty()) {
       if (spec.run_count() != 1) {
         throw std::invalid_argument(
-            "--probe-out needs a single run (one value per axis, "
+            "--probe-out needs a single run (one value per flag, "
             "--replicates 1), got " + std::to_string(spec.run_count()));
       }
-      std::vector<RunPlan> plans = spec.expand();
+      // Only the reference engine takes an observer; it is bit-identical
+      // to the packet engine.
       obs::ProbeRecorder recorder(probe_stride);
       std::vector<RunRecord> records(1);
       records[0].index = plans[0].index;
       records[0].replicate = plans[0].replicate;
       records[0].config = std::move(plans[0].config);
-      records[0].result = run_simulation(records[0].config, &recorder);
+      records[0].result =
+          run_reference_simulation(records[0].config, &recorder);
       {
         const std::string path = expand_pid(probe_path);
         std::ofstream file(path, std::ios::binary);

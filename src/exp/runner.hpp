@@ -15,11 +15,11 @@
 //
 // A work unit is one grid point: its uncached replicates, which differ
 // only by derived seed, run one after another through run_simulation (the
-// packet engine, sim/lane_sim.hpp) by default. The packet engine covers
-// every architecture, mesh included, is bit-identical to the reference
-// engine, and falls back to it only outside its envelope (> 64 ports, a
-// non-square mesh, oversized state), so the engine choice — like the
-// thread count — never changes a single result bit.
+// packet engine, sim/lane_sim.hpp) by default. The expansion has already
+// validated every config, and the packet engine covers every config
+// validate() accepts bit-identically to the reference engine, so the
+// engine choice — like the thread count — never changes a single result
+// bit.
 #pragma once
 
 #include <functional>

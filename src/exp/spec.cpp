@@ -111,6 +111,7 @@ std::vector<RunPlan> SweepSpec::expand() const {
                         plan.config.charge_buffer_read_and_write = charge_rw;
                         plan.config.offered_load = load;
                         plan.config.seed = seeds[r];
+                        validate(plan.config);
                         plans.push_back(std::move(plan));
                       }
                     }

@@ -117,7 +117,8 @@ struct SweepSpec {
 
   /// Resolves the grid to the full run list in expansion order, with
   /// per-run seeds derived from base.seed. Throws std::invalid_argument
-  /// when replicates == 0 or a tech preset name is unknown.
+  /// when replicates == 0, a tech preset name is unknown or validate()
+  /// rejects a plan, so a bad grid fails before any run starts.
   [[nodiscard]] std::vector<RunPlan> expand() const;
 };
 

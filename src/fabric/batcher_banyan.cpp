@@ -9,7 +9,8 @@ namespace sfab {
 BatcherBanyanFabric::BatcherBanyanFabric(FabricConfig config)
     : SwitchFabric(config),
       wires_(config_.tech),
-      dimension_(log2_exact(config_.ports)) {
+      // Not log2_exact: its assert would fire before the check below.
+      dimension_(log2_floor(config_.ports)) {
   if (!is_pow2(config_.ports) || config_.ports < 4) {
     throw std::invalid_argument(
         "BatcherBanyanFabric: ports must be a power of two >= 4");

@@ -1,15 +1,15 @@
 // Cycle-resolution probes: an optional observer hook on simulation runs.
 //
-// A SimObserver attached to run_simulation is handed a CycleSample every
-// `stride()`-th cycle: ingress occupancy,
+// A SimObserver attached to run_reference_simulation is handed a
+// CycleSample every `stride()`-th cycle: ingress occupancy,
 // cumulative delivered words/packets (total and per port), arbitration
 // grants, fabric stalls and buffer traffic, and the cumulative energy
 // split. Samples are snapshots of counters the simulation maintains
 // anyway — taking one never draws from an RNG or reorders an FP
 // accumulation, so an observed run is bit-identical to an unobserved
-// one (enforced by tests/test_obs_identity.cpp). Observed runs take the
-// reference engine (run_reference_simulation), which the packet engine is
-// pinned bit-identical to by tests/test_lane_sim_fuzz.
+// one (enforced by tests/test_obs_identity.cpp). Only the reference
+// engine takes an observer; the packet engine behind run_simulation is
+// pinned bit-identical to it by tests/test_lane_sim_fuzz.
 //
 // ProbeRecorder is the standard observer: a compact columnar buffer
 // (one vector per series plus a samples x ports matrix of per-port

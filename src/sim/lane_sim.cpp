@@ -1,8 +1,8 @@
 #include "sim/lane_sim.hpp"
 
-#include <array>
 #include <cmath>
-#include <string>
+#include <sstream>
+#include <stdexcept>
 
 #include "common/bitops.hpp"
 #include "obs/registry.hpp"
@@ -10,121 +10,139 @@
 
 namespace sfab {
 
-std::string_view to_string(LaneFallbackReason reason) noexcept {
-  switch (reason) {
-    case LaneFallbackReason::kNone:
-      return "none";
-    case LaneFallbackReason::kArch:
-      return "arch";
-    case LaneFallbackReason::kScheme:
-      return "scheme";
-    case LaneFallbackReason::kPorts:
-      return "ports";
-    case LaneFallbackReason::kPacketWords:
-      return "packet_words";
-    case LaneFallbackReason::kQueue:
-      return "queue";
-    case LaneFallbackReason::kMeasure:
-      return "measure";
-    case LaneFallbackReason::kPattern:
-      return "pattern";
-    case LaneFallbackReason::kRate:
-      return "rate";
-    case LaneFallbackReason::kFootprint:
-      return "footprint";
-    case LaneFallbackReason::kObserver:
-      return "observer";
-  }
-  return "unknown";
+namespace {
+
+/// Throws std::invalid_argument with `parts` streamed into its message.
+template <class... Parts>
+[[noreturn]] void reject(const Parts&... parts) {
+  std::ostringstream message;
+  (message << ... << parts);
+  throw std::invalid_argument(message.str());
 }
 
-LaneFallbackReason lane_sim_fallback_reason(const SimConfig& c) noexcept {
-  using R = LaneFallbackReason;
-  // Every scheme is covered (VOQ/iSLIP and FIFO/HOL fronts); the check
-  // guards a future enum extension from running on the wrong front.
-  if (c.scheme != RouterScheme::kVoq && c.scheme != RouterScheme::kFifo) {
-    return R::kScheme;
+constexpr std::uint64_t kSizeCap = std::uint64_t{1} << 20;
+
+}  // namespace
+
+void validate(const SimConfig& c) {
+  if (c.ports < 2) reject("ports ", c.ports, " is below 2");
+  // Every port set of the engine is one 64-bit mask word.
+  if (c.ports > 64) {
+    reject("ports ", c.ports, " is above the packet engine's 64");
   }
   switch (c.arch) {
     case Architecture::kCrossbar:
     case Architecture::kFullyConnected:
       break;
-    case Architecture::kBatcherBanyan:
-      if (!is_pow2(c.ports) || c.ports < 4) return R::kPorts;
-      break;
     case Architecture::kBanyan:
-      if (!is_pow2(c.ports)) return R::kPorts;
+      if (!is_pow2(c.ports)) {
+        reject("ports ", c.ports, " is not a power of two, as banyan needs");
+      }
+      break;
+    case Architecture::kBatcherBanyan:
+      if (!is_pow2(c.ports) || c.ports < 4) {
+        reject("ports ", c.ports,
+               " is not a power of two >= 4, as batcher-banyan needs");
+      }
       break;
     case Architecture::kMesh: {
-      // k x k routers for k in 2..8; the reference rejects any other
-      // square and throws on a non-square.
-      bool square = false;
-      for (unsigned k = 2; k <= 8; ++k) square = square || k * k == c.ports;
-      if (!square) return R::kPorts;
+      unsigned k = 2;
+      while (k * k < c.ports) ++k;
+      if (k * k != c.ports) {
+        reject("ports ", c.ports, " is not a k x k square, as mesh needs");
+      }
       break;
     }
     default:
-      return R::kArch;  // an Architecture value this build does not know
+      reject("arch ", static_cast<int>(c.arch), " is not an architecture");
   }
-  if (c.ports < 2 || c.ports > 64) return R::kPorts;
-  if (c.packet_words < 1 || c.packet_words > (1u << 20)) {
-    return R::kPacketWords;
+  if (c.scheme != RouterScheme::kFifo && c.scheme != RouterScheme::kVoq) {
+    reject("scheme ", static_cast<int>(c.scheme), " is not a router scheme");
   }
-  if (c.ingress_queue_packets < 1 ||
-      c.ingress_queue_packets > (std::size_t{1} << 20)) {
-    return R::kQueue;
+  if (c.packet_words < 1 || c.packet_words > kSizeCap) {
+    reject("packet_words ", c.packet_words, " is outside 1..2^20");
   }
-  if (c.measure_cycles == 0) return R::kMeasure;  // the reference throws
-  // Every fabric stamps its flits with 32-bit injection cycles. Bound the
-  // cycle horizon so they cannot wrap. Scalar runs at these horizons take
-  // hours, so real sweeps never hit this.
-  if (std::uint64_t{c.warmup_cycles} + c.measure_cycles >=
-      (std::uint64_t{1} << 30)) {
-    return R::kMeasure;
+  if (c.ingress_queue_packets < 1 || c.ingress_queue_packets > kSizeCap) {
+    reject("ingress_queue_packets ", c.ingress_queue_packets,
+           " is outside 1..2^20");
+  }
+  if (c.measure_cycles == 0) reject("measure_cycles 0 is below 1");
+  // Every fabric stamps its words with 32-bit injection cycles; the
+  // horizon keeps them from wrapping.
+  constexpr Cycle kHorizon = Cycle{1} << 30;
+  if (c.warmup_cycles >= kHorizon ||
+      c.measure_cycles >= kHorizon - c.warmup_cycles) {
+    reject(c.warmup_cycles > c.measure_cycles ? "warmup_cycles"
+                                              : "measure_cycles",
+           " puts the run past the 2^30-cycle horizon (warmup ",
+           c.warmup_cycles, " + measure ", c.measure_cycles, " cycles)");
   }
 
-  // Configurations the reference constructors reject run through the
-  // fallback so the exception surfaces exactly as the reference throws it.
-  const double rate = c.offered_load / c.packet_words;
+  if (!(c.offered_load >= 0.0 && std::isfinite(c.offered_load))) {
+    reject("offered_load ", c.offered_load, " is not a finite number >= 0");
+  }
   switch (c.pattern) {
     case TrafficPatternKind::kUniform:
       break;
     case TrafficPatternKind::kBitReversal:
-      if (!is_pow2(c.ports)) return R::kPattern;
+      if (!is_pow2(c.ports)) {
+        reject("ports ", c.ports,
+               " is not a power of two, as bit-reversal traffic needs");
+      }
       break;
     case TrafficPatternKind::kHotspot:
-      if (c.hotspot_port >= c.ports) return R::kPattern;
+      if (c.hotspot_port >= c.ports) {
+        reject("hotspot_port ", c.hotspot_port, " is not below ports ",
+               c.ports);
+      }
       if (!(c.hotspot_fraction >= 0.0 && c.hotspot_fraction <= 1.0)) {
-        return R::kPattern;
+        reject("hotspot_fraction ", c.hotspot_fraction, " is outside [0, 1]");
       }
       break;
     case TrafficPatternKind::kBursty:
       if (!(c.mean_burst_cycles >= 1.0 &&
             std::isfinite(c.mean_burst_cycles))) {
-        return R::kPattern;
+        reject("mean_burst_cycles ", c.mean_burst_cycles,
+               " is not a finite number >= 1");
       }
       break;
     default:
-      return R::kPattern;
+      reject("pattern ", static_cast<int>(c.pattern),
+             " is not a traffic pattern");
   }
-  if (c.pattern == TrafficPatternKind::kBursty) {
-    // Any finite rate runs (the on-rate saturates at 1); NaN and +inf go
-    // to the reference, which rejects them.
-    if (!(rate >= 0.0 && std::isfinite(rate))) return R::kRate;
-  } else {
-    if (!(rate >= 0.0 && rate <= 1.0)) return R::kRate;
+  // Every pattern but bursty draws one Bernoulli arrival per port and
+  // cycle at this rate (the reference's own division); bursty caps its
+  // on-rate at 1.
+  if (c.pattern != TrafficPatternKind::kBursty &&
+      c.offered_load / c.packet_words > 1.0) {
+    reject("offered_load ", c.offered_load, " over packet_words ",
+           c.packet_words,
+           " is more than one packet per port per cycle; only bursty "
+           "traffic accepts that");
   }
 
-  // State footprint of one run, capped at ~512 MB; larger configs run on
-  // the reference. The ingress front keeps capacity(+1) packet slots per
-  // bank (a granted packet streams out of its slot until the tail leaves);
-  // the multi-hop fabrics add their per-stage state (and, for banyan and
-  // mesh, the node-FIFO ring planes). The single-hop stage's fixed 64-slot
-  // arrays live in the engine object itself.
-  const std::uint64_t banks = c.ports;
-  const std::uint64_t slots = banks * (c.ingress_queue_packets + 1);
-  std::uint64_t bytes = slots * c.packet_words * sizeof(Word) +
-                        slots * 16 + banks * c.ports * 8;
+  // Node FIFOs and DRAM refresh (the other fabrics ignore both).
+  if ((c.arch == Architecture::kBanyan || c.arch == Architecture::kMesh) &&
+      (c.buffer_words_per_switch < 1 ||
+       c.buffer_words_per_switch > kSizeCap)) {
+    reject("buffer_words_per_switch ", c.buffer_words_per_switch,
+           " is outside 1..2^20, as ", to_string(c.arch), " needs");
+  }
+  if (c.arch == Architecture::kBanyan && c.dram_buffers &&
+      !(c.dram_retention_s > 0.0)) {
+    reject("dram_retention_s ", c.dram_retention_s, " is not positive");
+  }
+
+  // State footprint of one run, capped at 512 MiB. The ingress front
+  // keeps capacity(+1) packet slots per bank (a granted packet streams out
+  // of its slot until the tail leaves); the multi-hop fabrics add their
+  // per-stage state and, for banyan and mesh, the node-FIFO rings. The
+  // single-hop stage's fixed 64-slot arrays live in the engine object.
+  const std::uint64_t slots =
+      std::uint64_t{c.ports} * (c.ingress_queue_packets + 1);
+  const std::uint64_t front = slots * c.packet_words * sizeof(Word) +
+                              slots * 16 + std::uint64_t{c.ports} * c.ports * 8;
+  std::uint64_t fabric = 0;
   switch (c.arch) {
     case Architecture::kCrossbar:
     case Architecture::kFullyConnected:
@@ -135,17 +153,16 @@ LaneFallbackReason lane_sim_fallback_reason(const SimConfig& c) noexcept {
       // and a slot occupancy word.
       const std::uint64_t d = log2_exact(c.ports);
       const std::uint64_t stages = d * (d + 1) / 2 + d;
-      bytes += stages * (c.ports * (detail::kBatcherRowBytes + 4) + 576);
+      fabric = stages * (c.ports * (detail::kBatcherRowBytes + 4) + 576);
       break;
     }
     case Architecture::kBanyan: {
       // Per stage: a link word and a wire polarity per row, plus four row
       // masks and two 33-entry flip tables; per ring (one per stage and
       // row) its words and a head/size pair.
-      if (c.buffer_words_per_switch > (1u << 20)) return R::kFootprint;
       const std::uint64_t stages = log2_exact(c.ports);
       const std::uint64_t rings = stages * c.ports;
-      bytes += stages * (c.ports * (detail::kStageFlitBytes + 4) + 560) +
+      fabric = stages * (c.ports * (detail::kStageFlitBytes + 4) + 560) +
                rings * (std::uint64_t{c.buffer_words_per_switch} *
                             detail::kStageFlitBytes +
                         8);
@@ -154,69 +171,42 @@ LaneFallbackReason lane_sim_fallback_reason(const SimConfig& c) noexcept {
     case Architecture::kMesh: {
       // Five input registers, wire polarities and FIFO rings per router,
       // plus the route table and link masks.
-      if (c.buffer_words_per_switch > (1u << 20)) return R::kFootprint;
       const std::uint64_t rings = std::uint64_t{c.ports} * 5;
-      bytes += rings * (detail::kStageFlitBytes + 4) +
+      fabric = rings * (detail::kStageFlitBytes + 4) +
                std::uint64_t{c.ports} * (c.ports + 5) +
                rings * (std::uint64_t{c.buffer_words_per_switch} *
-                            (detail::kStageFlitBytes + 1) +
+                            detail::kStageFlitBytes +
                         8);
       break;
     }
   }
-  if (bytes > (std::uint64_t{1} << 29)) return R::kFootprint;
-  return R::kNone;
+  if (front + fabric > (std::uint64_t{1} << 29)) {
+    if (front >= fabric) {
+      reject("packet_words ", c.packet_words, " with ingress_queue_packets ",
+             c.ingress_queue_packets, " puts one run's state at ",
+             (front + fabric) >> 20, " MiB, above the packet engine's 512");
+    }
+    reject("buffer_words_per_switch ", c.buffer_words_per_switch,
+           " puts one run's state at ", (front + fabric) >> 20,
+           " MiB, above the packet engine's 512");
+  }
 }
 
 bool lane_sim_supported(const SimConfig& c) noexcept {
-  return lane_sim_fallback_reason(c) == LaneFallbackReason::kNone;
+  try {
+    validate(c);
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
+  return true;
 }
 
 SimResult run_simulation(const SimConfig& config) {
-  return run_simulation(config, nullptr);
-}
-
-SimResult run_simulation(const SimConfig& config, obs::SimObserver* observer) {
   static obs::Counter& laned_passes =
       obs::Registry::global().counter("sim.lane.laned_passes");
   static obs::Counter& laned_lanes =
       obs::Registry::global().counter("sim.lane.laned_lanes");
-  static obs::Counter& fallback_lanes =
-      obs::Registry::global().counter("sim.lane.fallback_lanes");
-  // One counter per fallback reason, created eagerly so every snapshot
-  // renders the full reason vector (zeros included) and the CI smoke can
-  // grep for the fields unconditionally. Indexed by the enum value.
-  static const std::array<obs::Counter*, 11> fallback_reasons = [] {
-    std::array<obs::Counter*, 11> counters{};
-    for (const LaneFallbackReason reason :
-         {LaneFallbackReason::kNone, LaneFallbackReason::kArch,
-          LaneFallbackReason::kScheme, LaneFallbackReason::kPorts,
-          LaneFallbackReason::kPacketWords, LaneFallbackReason::kQueue,
-          LaneFallbackReason::kMeasure, LaneFallbackReason::kPattern,
-          LaneFallbackReason::kRate, LaneFallbackReason::kFootprint,
-          LaneFallbackReason::kObserver}) {
-      counters[static_cast<std::size_t>(reason)] =
-          reason == LaneFallbackReason::kNone
-              ? nullptr
-              : &obs::Registry::global().counter(
-                    "sim.lane.fallback." +
-                    std::string(to_string(reason)));
-    }
-    return counters;
-  }();
-
-  LaneFallbackReason reason = lane_sim_fallback_reason(config);
-  if (reason == LaneFallbackReason::kNone && observer != nullptr) {
-    reason = LaneFallbackReason::kObserver;
-  }
-  if (reason != LaneFallbackReason::kNone) {
-    // Reference fallback behind the same call: identical results (and
-    // identical exceptions) at reference speed. Observed runs take this
-    // path too.
-    fallback_lanes.increment();
-    fallback_reasons[static_cast<std::size_t>(reason)]->increment();
-    return run_reference_simulation(config, observer);
-  }
+  validate(config);
   const SimResult result = detail::simulate(config);
   laned_passes.increment();
   laned_lanes.increment();

@@ -18,9 +18,8 @@
 // engine, Engine<Fabric, Front>, drives every fabric — a one-stage
 // SingleHopStage for crossbar and fully-connected, BatcherStages,
 // BanyanStages and MeshStages for the multi-hop fabrics — behind either a
-// VOQ/iSLIP or a FIFO/HOL ingress front. Any config rejected by
-// lane_sim_supported() runs on the reference (see
-// lane_sim_fallback_reason()).
+// VOQ/iSLIP or a FIFO/HOL ingress front. run_simulation hands it only
+// configs validate() accepts.
 
 #include <algorithm>
 #include <cassert>
@@ -57,8 +56,8 @@ struct StrCursor {
 // Flit is only the delivery record beside its packed rows). `seq + 1 ==
 // packet_words` derives the tail flag and `inj` carries the grant cycle,
 // so tail delivery computes latency without the scalar collector's
-// inflight map. lane_sim_fallback_reason bounds the cycle horizon so the
-// 32-bit injection stamps cannot wrap.
+// inflight map. validate() bounds the cycle horizon so the 32-bit
+// injection stamps cannot wrap.
 
 /// The scalar PacketFactory::make ran (and advanced its generator) before
 /// the ingress dropped the packet — consume the same payload draws.
@@ -1182,12 +1181,13 @@ struct BanyanStages {
 /// MeshFabric's k x k routers under XY routing. Input registers become
 /// [router * 5 + side] planes with one occupancy word per side, and each
 /// router's shared FIFO becomes five rings, one per output (as banyan's
-/// node FIFOs), with a parallel in-SRAM flag and one per-router count
-/// against buffer_words_per_switch. A word joins the ring of the output it
-/// routes to, in FIFO order, so the front of ring o is exactly the word the
-/// scalar's "oldest buffered word headed for o" scan returns. A byte table
-/// replaces route(). The scalar rr_[r] is bumped once per tick for every
-/// router, so it equals the tick count, cycle + 1, and needs no storage.
+/// node FIFOs, with the in-SRAM flag in the Flit), and one per-router
+/// count against buffer_words_per_switch. A word joins the ring of the
+/// output it routes to, in FIFO order, so the front of ring o is exactly
+/// the word the scalar's "oldest buffered word headed for o" scan returns.
+/// A byte table replaces route(). The scalar rr_[r] is bumped once per
+/// tick for every router, so it equals the tick count, cycle + 1, and
+/// needs no storage.
 ///
 /// The scalar tick repeats a full decision sweep (routers ascending, each
 /// router's outputs L, E, W, N, S) until nothing moves. This tick makes the
@@ -1217,6 +1217,7 @@ struct MeshStages {
     std::uint32_t inj = 0;  ///< head-injection cycle stamp
     std::uint32_t seq = 0;
     std::uint8_t dest = 0;
+    std::uint8_t sram = 0;  ///< buffered past the skid slots (READ charge)
   };
   static_assert(sizeof(Flit) == kStageFlitBytes);
 
@@ -1244,7 +1245,6 @@ struct MeshStages {
 
   // FIFO rings: ring = router * kDirs + output; slot = ring * cap_ + pos.
   std::vector<Flit> fifo_flit_;
-  std::vector<char> fifo_sram_;  ///< parallel in-SRAM flags (READ charging)
   std::vector<std::uint32_t> fifo_head_;   // [ring]
   std::vector<std::uint32_t> fifo_size_;   // [ring]
   std::vector<std::uint32_t> fifo_count_;  // [router], all five rings
@@ -1252,7 +1252,7 @@ struct MeshStages {
 
   void init(const SimConfig& c) {
     n_ = c.ports;
-    unsigned k = 2;  // lane_sim_fallback_reason admits only k x k meshes
+    unsigned k = 2;  // validate() admits only k x k meshes
     while (k * k < n_) ++k;
     cap_ = static_cast<std::uint32_t>(c.buffer_words_per_switch);
     skid_ = static_cast<std::uint32_t>(c.buffer_skid_words);
@@ -1291,7 +1291,6 @@ struct MeshStages {
     in_.assign(rings, Flit{});
     wire_last_.assign(rings, 0);
     fifo_flit_.assign(rings * cap_, Flit{});
-    fifo_sram_.assign(rings * cap_, 0);
     fifo_head_.assign(rings, 0);
     fifo_size_.assign(rings, 0);
     fifo_count_.assign(n_, 0);
@@ -1374,7 +1373,7 @@ struct MeshStages {
         if (fifo_size_[ring] != 0) {
           const std::size_t slot = ring * cap_ + fifo_head_[ring];
           mover = fifo_flit_[slot];
-          if (fifo_sram_[slot] != 0 && charge_rw_) {
+          if (mover.sram != 0 && charge_rw_) {
             if constexpr (kMeasured) {
               buffer_acc += access_j_;  // SRAM read-out
             }
@@ -1454,8 +1453,9 @@ struct MeshStages {
             std::size_t{r} * kDirs + route_[std::size_t{r} * n_ + word.dest];
         std::uint32_t tail = fifo_head_[ring] + fifo_size_[ring];
         if (tail >= cap_) tail -= cap_;
-        fifo_flit_[ring * cap_ + tail] = word;
-        fifo_sram_[ring * cap_ + tail] = in_sram ? 1 : 0;
+        Flit& slot = fifo_flit_[ring * cap_ + tail];
+        slot = word;
+        slot.sram = in_sram ? 1 : 0;
         ++fifo_size_[ring];
         ++count;
         fifo_any_ |= bit;
@@ -1577,8 +1577,8 @@ SimResult run(const SimConfig& c) {
 }  // namespace
 
 /// Dispatches (architecture x scheme) to the monomorphized engine. The
-/// caller has already verified lane_sim_supported(), so every reachable
-/// cell has an engine.
+/// caller has already run validate(), so every reachable cell has an
+/// engine.
 SimResult simulate(const SimConfig& config) {
   const bool voq = config.scheme == RouterScheme::kVoq;
   switch (config.arch) {
@@ -1602,7 +1602,7 @@ SimResult simulate(const SimConfig& config) {
       return voq ? run<Engine<MeshStages, VoqFront>>(config)
                  : run<Engine<MeshStages, FifoFront>>(config);
   }
-  return SimResult{};  // unreachable behind lane_sim_supported()
+  return SimResult{};  // unreachable behind validate()
 }
 
 }  // namespace sfab::detail

@@ -10,8 +10,8 @@ namespace sfab::detail {
 
 /// Bytes per in-fabric word of the single-hop, banyan and mesh fabrics
 /// (SingleHopStage::Flit, BanyanStages::Flit and MeshStages::Flit); the
-/// footprint estimate in lane_sim_fallback_reason() charges link and FIFO
-/// planes at this size.
+/// footprint estimate in validate() charges link and FIFO planes at this
+/// size.
 inline constexpr std::size_t kStageFlitBytes = 16;
 
 /// Bytes per (ring slot, row) of Batcher-Banyan's lockstep cohorts: the
@@ -19,7 +19,7 @@ inline constexpr std::size_t kStageFlitBytes = 16;
 inline constexpr std::size_t kBatcherRowBytes = 16;
 
 /// One run of `config` under config.seed on the packet engine. The caller
-/// (run_simulation) has already verified lane_sim_supported(config).
+/// (run_simulation) has already run validate(config).
 [[nodiscard]] SimResult simulate(const SimConfig& config);
 
 }  // namespace sfab::detail

@@ -3,8 +3,9 @@
 // This replaces the paper's Simulink platform. A run executes a warm-up
 // window (energy and counters then reset so measurements capture steady
 // state), measures for the configured window, and reports throughput,
-// power split by component, energy per bit and latency. run_simulation
-// runs the packet engine (sim/lane_sim.hpp), one run per call;
+// power split by component, energy per bit and latency. validate() is
+// the one admission rule for a config; run_simulation validates, then
+// runs the packet engine (sim/lane_sim.hpp), one run per call.
 // run_reference_simulation builds the traffic generator, router and
 // fabric objects and steps them. The reference is written plainly, for
 // reading rather than speed: it is what the packet engine is pinned
@@ -82,6 +83,15 @@ struct SimConfig {
   unsigned islip_iterations = 0;
 };
 
+/// The one admission rule for a SimConfig. Throws std::invalid_argument,
+/// its message starting with the name of the field at fault, for every
+/// config a reference constructor rejects and for every config outside
+/// the packet engine's envelope (above 64 ports, packet, queue or FIFO
+/// sizes above 2^20, the 2^30-cycle horizon, a state footprint above 512
+/// MiB). SweepSpec::expand() calls it on every plan, before any run
+/// starts or any worker is spawned.
+void validate(const SimConfig& config);
+
 struct SimResult {
   // --- identification --------------------------------------------------------
   Architecture arch{};
@@ -119,27 +129,20 @@ class SimObserver;
 }
 
 /// Runs one simulation under config.seed to completion and returns its
-/// measurements. Every supported config takes the packet engine
-/// (sim/lane_sim.hpp; defined in lane_sim.cpp) and the rest fall back to
-/// run_reference_simulation; the sim.lane.* counters count each run.
-/// Side-effect-free: concurrent calls with independent configs are safe,
-/// which is what exp/SweepRunner exploits.
+/// measurements: validate(config), then the packet engine
+/// (sim/lane_sim.hpp; defined in lane_sim.cpp), counted in the
+/// sim.lane.laned_* counters. Side-effect-free: concurrent calls with
+/// independent configs are safe, which is what exp/SweepRunner exploits.
 [[nodiscard]] SimResult run_simulation(const SimConfig& config);
 
-/// Observed variant: `observer` (nullable) receives a CycleSample every
-/// observer->stride() cycles across warmup and measurement. Observation
-/// is passive — the returned SimResult is bit-identical to the
-/// unobserved overload (enforced by tests/test_obs_identity.cpp). An
-/// observed run is counted in sim.lane.fallback.observer and runs on the
-/// reference engine.
-[[nodiscard]] SimResult run_simulation(const SimConfig& config,
-                                       obs::SimObserver* observer);
-
 /// The reference engine: one Router or VoqRouter over a SwitchFabric,
-/// stepped cycle by cycle, with plain scans and std::deque queues. It runs
-/// what the packet engine does not cover (> 64 ports, a non-square mesh,
-/// observed runs, configs the constructors reject) and is the oracle the
-/// packet engine is pinned against bit for bit.
+/// stepped cycle by cycle, with plain scans and std::deque queues. It is
+/// the oracle the packet engine is pinned against bit for bit, and the
+/// engine behind observed runs: `observer` (nullable) receives a
+/// CycleSample every observer->stride() cycles across warmup and
+/// measurement. Observation is passive — the returned SimResult is
+/// bit-identical to the unobserved run (tests/test_obs_identity.cpp). Its
+/// constructors keep their own checks, so it needs no validate().
 [[nodiscard]] SimResult run_reference_simulation(
     const SimConfig& config, obs::SimObserver* observer = nullptr);
 

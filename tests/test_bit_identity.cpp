@@ -5,15 +5,18 @@
 // engine (commit 4a5196b) on the configs below, with doubles captured as
 // hexfloats. The two 128-port goldens were recorded later, at commit
 // d270e6b rather than 4a5196b: they pin the reference engine above the
-// packet engine's 64 ports, the path run_simulation falls back to there.
-// Each golden is asserted through run_simulation (the packet engine, or
-// its reference fallback) and through run_reference_simulation.
+// packet engine's 64 ports. Each golden up to 64 ports is asserted through
+// run_simulation (the packet engine) and through run_reference_simulation;
+// the 128-port ones through run_reference_simulation only, since
+// run_simulation rejects more than 64 ports.
 // Every assertion is an exact comparison — EXPECT_EQ on doubles is
 // deliberate. If an optimization legitimately needs to change simulation
 // results, that is a behavioral change to be made explicitly, not a
 // by-product of performance work.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <string_view>
 
 #include "fabric/factory.hpp"
@@ -127,7 +130,15 @@ TEST(BitIdentity, ArenaEngineReproducesSeedEngineExactly) {
   for (const Golden& golden : kGoldens) {
     SCOPED_TRACE(std::string(golden.name));
     const SimConfig config = config_named(golden.name);
-    {
+    if (config.ports > 64) {
+      try {
+        (void)run_simulation(config);
+        ADD_FAILURE() << "run_simulation accepted " << config.ports
+                      << " ports";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()).rfind("ports ", 0), 0u) << e.what();
+      }
+    } else {
       SCOPED_TRACE("run_simulation");
       expect_golden(run_simulation(config), golden);
     }

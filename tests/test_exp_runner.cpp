@@ -85,11 +85,18 @@ TEST(SweepRunner, DefaultsToHardwareConcurrency) {
 }
 
 TEST(SweepRunner, RunErrorsPropagate) {
+  // The expansion validates every config, so the error surfaces before
+  // any run starts. (A pool worker's exception propagating is covered by
+  // ThrowingOnRecordCallbackAbortsTheSweep.)
+  obs::Counter& passes =
+      obs::Registry::global().counter("sim.lane.laned_passes");
   SweepSpec spec;
   spec.base = quick_base();
-  spec.base.measure_cycles = 0;  // run_simulation rejects this
+  spec.base.measure_cycles = 0;  // validate() rejects this
   spec.over_loads({0.1, 0.2, 0.3});
+  const std::uint64_t passes_before = passes.value();
   EXPECT_THROW((void)SweepRunner(2).run(spec), std::invalid_argument);
+  EXPECT_EQ(passes.value(), passes_before);
 }
 
 TEST(SweepRunner, SelectAndStatAggregateReplicates) {
@@ -163,14 +170,12 @@ TEST(SweepRunner, ThrowingOnRecordCallbackAbortsTheSweep) {
 // --- migrated sweep_offered_load ---------------------------------------------
 
 TEST(SweepRunner, LoneUnitsTakeTheLaneEngineAndScalarTheReference) {
-  // Every supported record is one packet-engine run — a lone run one, a
-  // 3-replicate grid point three, a lone mesh run one (mesh no longer
-  // falls back) — and kScalar bypasses the packet engine entirely, with
-  // bit-identical records either way.
+  // Every record is one packet-engine run — a lone run one, a
+  // 3-replicate grid point three, a lone mesh run one — and kScalar
+  // bypasses the packet engine entirely, with bit-identical records
+  // either way.
   obs::Counter& passes =
       obs::Registry::global().counter("sim.lane.laned_passes");
-  obs::Counter& arch_fallbacks =
-      obs::Registry::global().counter("sim.lane.fallback.arch");
   SweepSpec lone;
   lone.base = quick_base();
   SweepSpec replicated = lone;
@@ -179,15 +184,12 @@ TEST(SweepRunner, LoneUnitsTakeTheLaneEngineAndScalarTheReference) {
   mesh.base.arch = Architecture::kMesh;
 
   const std::uint64_t passes_before = passes.value();
-  const std::uint64_t arch_before = arch_fallbacks.value();
   const ResultSet laned = SweepRunner(1).run(lone);
   EXPECT_EQ(passes.value(), passes_before + 1);
-  EXPECT_EQ(arch_fallbacks.value(), arch_before);
   const ResultSet laned_replicated = SweepRunner(1).run(replicated);
   EXPECT_EQ(passes.value(), passes_before + 4);
   const ResultSet laned_mesh = SweepRunner(1).run(mesh);
   EXPECT_EQ(passes.value(), passes_before + 5);
-  EXPECT_EQ(arch_fallbacks.value(), arch_before);
 
   SweepRunner reference(1);
   reference.with_engine(ReplicateEngine::kScalar);
@@ -195,7 +197,6 @@ TEST(SweepRunner, LoneUnitsTakeTheLaneEngineAndScalarTheReference) {
   expect_bit_identical(reference.run(replicated), laned_replicated);
   expect_bit_identical(reference.run(mesh), laned_mesh);
   EXPECT_EQ(passes.value(), passes_before + 5);
-  EXPECT_EQ(arch_fallbacks.value(), arch_before);
 }
 
 TEST(SweepOfferedLoad, RunsEveryLoad) {

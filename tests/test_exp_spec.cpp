@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "common/rng.hpp"
 #include "exp/spec.hpp"
@@ -118,6 +120,22 @@ TEST(SweepSpec, ZeroReplicatesRejected) {
   SweepSpec spec;
   spec.replicates = 0;
   EXPECT_THROW((void)spec.expand(), std::invalid_argument);
+}
+
+TEST(SweepSpec, ExpandValidatesEveryPlan) {
+  // One invalid grid point fails the whole expansion, naming its field:
+  // here the 8-port mesh among valid crossbar points.
+  SweepSpec spec;
+  spec.over_architectures({Architecture::kCrossbar, Architecture::kMesh})
+      .over_ports({4, 8});
+  try {
+    (void)spec.expand();
+    ADD_FAILURE() << "an 8-port mesh expanded";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("ports 8 ", 0), 0u) << e.what();
+  }
+  spec.over_ports({4, 16});
+  EXPECT_EQ(spec.expand().size(), 4u);
 }
 
 TEST(SweepSpec, SchemeAndAccountingAxesResolve) {

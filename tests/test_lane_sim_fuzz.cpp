@@ -10,9 +10,9 @@
 // derive_stream_seed(seed, k) must reproduce run_reference_simulation's
 // SimResult for that seed bit for bit — every counter and double compared
 // by bit pattern, so a single FP add in the wrong order fails loudly.
-// Unsupported configurations (> 64 ports, a non-square mesh) route
-// through the same call's reference fallback and are pinned identically,
-// which keeps the contract uniform as coverage grows. Same idiom as
+// Configurations outside the engine's envelope (> 64 ports, the 2^30-cycle
+// horizon, the 2^20 caps, an oversized state footprint) never run on
+// another engine: validate() rejects them, naming the field. Same idiom as
 // tests/test_bitsliced_fuzz.cpp at the gate level.
 #include <gtest/gtest.h>
 
@@ -23,7 +23,6 @@
 
 #include "common/bitops.hpp"
 #include "common/rng.hpp"
-#include "sim/lane_sim.hpp"
 #include "sim/simulation.hpp"
 
 namespace sfab {
@@ -161,10 +160,6 @@ TEST(LaneSimFuzz, RandomConfigsMatchScalarRunForRun) {
         ++case_seed;
         const SimConfig config =
             random_config(arch, scheme, 0xF02 + case_seed * 0x9E37);
-        ASSERT_TRUE(lane_sim_supported(config))
-            << "case " << case_seed << " must exercise the packet engine, "
-            << "not the fallback (reason: "
-            << to_string(lane_sim_fallback_reason(config)) << ")";
         pin_seeds(config, 4,
                   "case " + std::to_string(case_seed) + " (" +
                       std::string(to_string(arch)) + "/" +
@@ -191,7 +186,6 @@ TEST(LaneSimFuzz, FullMaskPortsMatchRunForRun) {
       ++case_seed;
       SimConfig config = random_config(arch, scheme, 0x640 + case_seed);
       config.ports = 64;  // drawn hotspot ports stay below 64
-      ASSERT_EQ(lane_sim_fallback_reason(config), LaneFallbackReason::kNone);
       pin_seeds(config, 2,
                 "64-port " + std::string(to_string(arch)) + "/" +
                     std::string(to_string(scheme)));
@@ -220,7 +214,6 @@ TEST(LaneSimFuzz, FullBatcherCohortsMatchAtEverySeed) {
         c.pattern = pattern;
         c.packet_words = words;
         c.scheme = scheme;
-        ASSERT_EQ(lane_sim_fallback_reason(c), LaneFallbackReason::kNone);
         const std::string context =
             "batcher-banyan@64 full " + std::string(to_string(pattern)) +
             " " + std::to_string(words) + "-word " +
@@ -263,7 +256,6 @@ TEST(LaneSimFuzz, DeepBanyanBacklogMatchesAtEverySeed) {
           c.buffer_words_per_switch = words;
           c.buffer_skid_words = skid;
           c.scheme = scheme;
-          ASSERT_EQ(lane_sim_fallback_reason(c), LaneFallbackReason::kNone);
           const std::string context =
               "banyan@64 " + std::string(to_string(pattern)) + " " +
               std::to_string(words) + "-word skid " + std::to_string(skid) +
@@ -298,7 +290,6 @@ TEST(LaneSimFuzz, DeepMeshChainsMatchAtEverySeed) {
   c.seed = 0xD33C;
   for (const RouterScheme scheme : {RouterScheme::kFifo, RouterScheme::kVoq}) {
     c.scheme = scheme;
-    ASSERT_EQ(lane_sim_fallback_reason(c), LaneFallbackReason::kNone);
     pin_seeds(c, 4, "mesh@64 chain " + std::string(to_string(scheme)));
   }
 }
@@ -319,64 +310,100 @@ TEST(LaneSimFuzz, LoadSweepMatchesAtEveryPoint) {
   }
 }
 
-TEST(LaneSimFuzz, UnsupportedConfigsFallBackIdentically) {
-  // > 64-port configs and non-square meshes take the reference fallback
-  // behind the same call — trivially identical, pinned so the routing
-  // stays honest as coverage grows.
+/// validate() rejects `c`, naming `field` first, and so does
+/// run_simulation. A config validate() accepts is not run: it may need
+/// gigabytes or 2^30 cycles.
+void expect_rejected(const SimConfig& c, const std::string& field,
+                     const std::string& context) {
+  try {
+    validate(c);
+    ADD_FAILURE() << context << ": accepted";
+    return;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind(field + " ", 0), 0u)
+        << context << ": " << e.what();
+  }
+  EXPECT_THROW((void)run_simulation(c), std::invalid_argument) << context;
+}
+
+TEST(LaneSimFuzz, OutsideTheEnvelopeIsRejectedNamingTheField) {
+  // The engine keeps every port set in one 64-bit mask word and stamps
+  // words with 32-bit injection cycles, and one run's state is capped at
+  // 512 MiB. Configs outside that envelope are rejected before any run,
+  // naming the field; none runs on another engine.
   SimConfig c;
+  c.scheme = RouterScheme::kVoq;
   c.packet_words = 4;
   c.warmup_cycles = 50;
   c.measure_cycles = 300;
   c.offered_load = 0.5;
-  c.seed = 11;
+  for (const unsigned ports : {65u, 80u, 128u}) {
+    c.ports = ports;
+    expect_rejected(c, "ports", std::to_string(ports) + "-port crossbar");
+  }
   c.arch = Architecture::kMesh;
-  c.scheme = RouterScheme::kFifo;
   c.ports = 81;  // a 9 x 9 mesh: more than 64 routers
-  EXPECT_EQ(lane_sim_fallback_reason(c), LaneFallbackReason::kPorts);
-  pin_seeds(c, 3, "mesh@81 fallback");
-  // A non-square mesh falls back too, so the reference's own exception
-  // surfaces from run_simulation.
-  c.ports = 8;
-  EXPECT_EQ(lane_sim_fallback_reason(c), LaneFallbackReason::kPorts);
-  std::string engine_error;
-  std::string reference_error;
-  try {
-    (void)run_simulation(c);
-  } catch (const std::invalid_argument& e) {
-    engine_error = e.what();
-  }
-  try {
-    (void)run_reference_simulation(c);
-  } catch (const std::invalid_argument& e) {
-    reference_error = e.what();
-  }
-  EXPECT_FALSE(reference_error.empty());
-  EXPECT_EQ(engine_error, reference_error);
-  c.arch = Architecture::kCrossbar;
-  c.scheme = RouterScheme::kVoq;
-  c.ports = 80;  // > 64 ports of egress state per mask word
-  EXPECT_EQ(lane_sim_fallback_reason(c), LaneFallbackReason::kPorts);
-  pin_seeds(c, 2, "80-port fallback");
+  expect_rejected(c, "ports", "9 x 9 mesh");
+  c.ports = 64;
 
-  // Reason-only checks (no run). Every fabric stamps its flits with a
-  // 32-bit injection cycle, so the 2^30-cycle horizon bound covers the
-  // single-hop fabrics too.
-  SimConfig h;
-  h.ports = 64;
-  h.warmup_cycles = 1000;
-  h.measure_cycles = (Cycle{1} << 30) - h.warmup_cycles;
+  // The cycle horizon binds every fabric, the single-hop ones too.
   for (const Architecture arch :
-       {Architecture::kCrossbar, Architecture::kFullyConnected}) {
+       {Architecture::kCrossbar, Architecture::kFullyConnected,
+        Architecture::kBatcherBanyan, Architecture::kBanyan,
+        Architecture::kMesh}) {
+    SimConfig h = c;
     h.arch = arch;
-    EXPECT_EQ(lane_sim_fallback_reason(h), LaneFallbackReason::kMeasure)
-        << to_string(arch);
+    h.warmup_cycles = 1000;
+    h.measure_cycles = (Cycle{1} << 30) - h.warmup_cycles - 1;
+    EXPECT_NO_THROW(validate(h)) << to_string(arch);  // the last cycle fits
+    ++h.measure_cycles;
+    expect_rejected(h, "measure_cycles",
+                    "horizon " + std::string(to_string(arch)));
   }
-  // Batcher-Banyan keeps no packet name, only each word's 32-bit injection
-  // stamp, so a 64-port run is bounded by the cycle horizon alone, whatever
-  // the port count.
-  h.arch = Architecture::kBatcherBanyan;
-  h.measure_cycles = (Cycle{1} << 25) - h.warmup_cycles;
-  EXPECT_EQ(lane_sim_fallback_reason(h), LaneFallbackReason::kNone);
+  for (const Cycle warmup : {Cycle{1} << 30, Cycle{1} << 62}) {
+    SimConfig h = c;
+    h.warmup_cycles = warmup;
+    h.measure_cycles = 1;
+    expect_rejected(h, "warmup_cycles", "warmup past the horizon");
+  }
+
+  // The 2^20 caps on packet, queue and node-FIFO sizes, at the fewest
+  // ports, where the footprint cap alone would admit them.
+  constexpr unsigned kOverCap = (1u << 20) + 1;
+  SimConfig w = c;
+  w.arch = Architecture::kCrossbar;
+  w.ports = 2;
+  w.ingress_queue_packets = 1;
+  w.packet_words = kOverCap;
+  expect_rejected(w, "packet_words", "2^20 + 1 packet words");
+  w.packet_words = 1;
+  w.offered_load = 0.5;
+  w.ingress_queue_packets = kOverCap;
+  expect_rejected(w, "ingress_queue_packets", "2^20 + 1 queue packets");
+  for (const Architecture arch : {Architecture::kBanyan, Architecture::kMesh}) {
+    w = c;
+    w.arch = arch;
+    w.ports = arch == Architecture::kMesh ? 4 : 2;
+    w.buffer_words_per_switch = kOverCap;
+    expect_rejected(w, "buffer_words_per_switch",
+                    "2^20 + 1 FIFO words " + std::string(to_string(arch)));
+  }
+
+  // The footprint cap, inside every 2^20 cap: 64 ports of 2^20-word
+  // packets, and 2^17-word node FIFOs (2^16 fit).
+  w = c;
+  w.arch = Architecture::kCrossbar;
+  w.packet_words = 1u << 20;
+  expect_rejected(w, "packet_words", "oversized ingress state");
+  for (const Architecture arch : {Architecture::kBanyan, Architecture::kMesh}) {
+    w = c;
+    w.arch = arch;
+    w.buffer_words_per_switch = 1u << 16;
+    EXPECT_NO_THROW(validate(w)) << to_string(arch);
+    w.buffer_words_per_switch = 1u << 17;
+    expect_rejected(w, "buffer_words_per_switch",
+                    "oversized FIFOs " + std::string(to_string(arch)));
+  }
 }
 
 }  // namespace

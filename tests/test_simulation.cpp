@@ -4,8 +4,16 @@
 #include "sim/report.hpp"
 #include "sim/simulation.hpp"
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <functional>
 #include <limits>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
 
 namespace sfab {
 namespace {
@@ -230,6 +238,156 @@ TEST(Simulation, NonFiniteTrafficParametersRejected) {
     EXPECT_THROW((void)run_reference_simulation(c), std::invalid_argument)
         << k.name;
   }
+}
+
+/// Every SimResult field, doubles by bit pattern: equal means bit-identical.
+auto result_bits(const SimResult& r) {
+  const auto b = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  return std::tuple(static_cast<int>(r.arch), r.ports, b(r.offered_load),
+                    b(r.egress_throughput), r.delivered_words,
+                    r.delivered_packets, r.input_queue_drops,
+                    b(r.mean_packet_latency_cycles), b(r.power_w),
+                    b(r.switch_power_w), b(r.buffer_power_w),
+                    b(r.wire_power_w), b(r.energy_per_bit_j),
+                    r.words_buffered, r.sram_buffered_words, r.stall_cycles,
+                    r.measured_cycles);
+}
+
+TEST(Simulation, ValidateAgreesWithTheReference) {
+  // validate() is the one admission rule. Over an edge grid, for every
+  // architecture and both fronts: wherever the reference throws, validate
+  // throws, and wherever validate accepts, run_simulation reproduces the
+  // reference bit for bit. (The engine's own envelope, which the
+  // reference does not share, is pinned in test_lane_sim_fuzz.)
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Edge {
+    std::string name;
+    std::function<void(SimConfig&)> apply;
+  };
+  std::vector<Edge> edges = {{"base", [](SimConfig&) {}}};
+  const auto add = [&](std::string name, std::function<void(SimConfig&)> f) {
+    edges.push_back({std::move(name), std::move(f)});
+  };
+  for (const TrafficPatternKind pattern :
+       {TrafficPatternKind::kUniform, TrafficPatternKind::kBursty}) {
+    const std::string on = " " + std::string(to_string(pattern));
+    for (const unsigned words : {1u, 3u}) {
+      // Exactly one packet per port per cycle, and just above that.
+      for (const double load : {-0.1, 0.0, kNaN, kInf, double(words),
+                                std::nextafter(double(words), kInf)}) {
+        add("load " + std::to_string(load) + " words " +
+                std::to_string(words) + on,
+            [=](SimConfig& c) {
+              c.pattern = pattern;
+              c.packet_words = words;
+              c.offered_load = load;
+            });
+      }
+    }
+    for (const unsigned v : {0u, 1u}) {
+      const std::string is = " " + std::to_string(v) + on;
+      add("packet_words" + is, [=](SimConfig& c) {
+        c.pattern = pattern;
+        c.packet_words = v;
+      });
+      add("queue" + is, [=](SimConfig& c) {
+        c.pattern = pattern;
+        c.ingress_queue_packets = v;
+      });
+      add("measure" + is, [=](SimConfig& c) {
+        c.pattern = pattern;
+        c.measure_cycles = v;
+      });
+      add("buffer_words" + is, [=](SimConfig& c) {
+        c.pattern = pattern;
+        c.buffer_words_per_switch = v;
+      });
+    }
+  }
+  for (const unsigned below : {1u, 0u}) {
+    add("hotspot port ports - " + std::to_string(below), [=](SimConfig& c) {
+      c.pattern = TrafficPatternKind::kHotspot;
+      c.hotspot_port = c.ports - below;
+    });
+  }
+  for (const double fraction : {-0.1, kNaN, 1.1}) {
+    add("hotspot fraction " + std::to_string(fraction), [=](SimConfig& c) {
+      c.pattern = TrafficPatternKind::kHotspot;
+      c.hotspot_fraction = fraction;
+    });
+  }
+  for (const double burst : {0.5, 1.0, kNaN, kInf}) {
+    add("burst " + std::to_string(burst), [=](SimConfig& c) {
+      c.pattern = TrafficPatternKind::kBursty;
+      c.mean_burst_cycles = burst;
+    });
+  }
+  add("dram retention 0", [](SimConfig& c) {
+    c.dram_buffers = true;
+    c.dram_retention_s = 0.0;
+  });
+  add("bit-reversal", [](SimConfig& c) {
+    c.pattern = TrafficPatternKind::kBitReversal;
+  });
+  add("unknown arch", [](SimConfig& c) { c.arch = Architecture{9}; });
+  add("unknown scheme", [](SimConfig& c) { c.scheme = RouterScheme{9}; });
+  add("unknown pattern",
+      [](SimConfig& c) { c.pattern = TrafficPatternKind{9}; });
+
+  SimConfig base;
+  base.offered_load = 0.5;
+  base.packet_words = 2;
+  base.ingress_queue_packets = 2;
+  base.buffer_words_per_switch = 2;
+  base.mean_burst_cycles = 4.0;
+  base.warmup_cycles = 2;
+  base.measure_cycles = 6;
+  base.seed = 0x7A11;
+  std::size_t accepted = 0;
+  std::size_t rejected_by_both = 0;
+  for (const Architecture arch :
+       {Architecture::kCrossbar, Architecture::kFullyConnected,
+        Architecture::kBatcherBanyan, Architecture::kBanyan,
+        Architecture::kMesh}) {
+    for (const RouterScheme scheme :
+         {RouterScheme::kFifo, RouterScheme::kVoq}) {
+      for (const unsigned ports : {0u, 1u, 2u, 3u, 4u, 8u, 9u, 16u, 64u}) {
+        for (const Edge& edge : edges) {
+          SimConfig c = base;
+          c.arch = arch;
+          c.scheme = scheme;
+          c.ports = ports;
+          edge.apply(c);
+          const std::string context = std::string(to_string(arch)) + "/" +
+                                      std::string(to_string(scheme)) + " " +
+                                      std::to_string(ports) + "p " +
+                                      edge.name;
+          std::optional<SimResult> reference;
+          try {
+            reference = run_reference_simulation(c);
+          } catch (const std::invalid_argument&) {
+          }
+          bool valid = true;
+          try {
+            validate(c);
+          } catch (const std::invalid_argument&) {
+            valid = false;
+          }
+          if (!reference) {
+            EXPECT_FALSE(valid) << context << ": the reference throws";
+            if (!valid) ++rejected_by_both;
+          } else if (valid) {
+            EXPECT_EQ(result_bits(run_simulation(c)), result_bits(*reference))
+                << context;
+            ++accepted;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(accepted, 1000u);
+  EXPECT_GT(rejected_by_both, 1000u);
 }
 
 // --- report formatting -------------------------------------------------------------
