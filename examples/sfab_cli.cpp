@@ -96,22 +96,21 @@ void print_usage() {
       "  --stale-after S    seconds without a heartbeat before a claim\n"
       "                     counts as abandoned                     [30]\n"
       "observability (see README \"Observability\"):\n"
-      "  --metrics-out PATH write the metrics-registry snapshot as JSON\n"
-      "                     on exit (%p in PATH expands to the pid, so\n"
-      "                     coordinator-spawned workers write distinct\n"
-      "                     files)\n"
-      "  --profile          time named sweep/dist phases; per-phase\n"
-      "                     totals land in the metrics JSON under\n"
-      "                     \"phases\"\n"
-      "  --trace-out PATH   write profiled phase spans as Chrome\n"
-      "                     trace-event JSON on exit (%p = pid;\n"
-      "                     implies --profile)\n"
-      "  --probe-out PATH   single run only: sample per-cycle series\n"
-      "                     (occupancy, delivered words, grants, stalls,\n"
-      "                     energy split, per-port words) to a CSV;\n"
-      "                     bit-identical to the unobserved run\n"
+      "  --metrics-out PATH write the metrics-registry snapshot, phase\n"
+      "                     timers included (exp.unit_ns, dist.*_ns),\n"
+      "                     as JSON on exit (%p in PATH expands to the\n"
+      "                     pid, so coordinator-spawned workers write\n"
+      "                     distinct files)\n"
+      "  --trace-out PATH   also keep every timed phase as a span and\n"
+      "                     write them as Chrome trace-event JSON on\n"
+      "                     exit (%p = pid)\n"
+      "  --probe-out PATH   single run only, not with --shards,\n"
+      "                     --shard-index, --merge or --watch: sample\n"
+      "                     per-cycle series (occupancy, delivered words,\n"
+      "                     grants, stalls, energy split, per-port words)\n"
+      "                     to a CSV; bit-identical to the unobserved run\n"
       "  --probe-stride N   sample every N cycles                   [64]\n"
-      "  env: SFAB_LOG=error|warn|info|debug, SFAB_METRICS=0|1\n"
+      "  env: SFAB_LOG=error|warn|info|debug\n"
       "  --help             this text\n"
       "exit codes: 0 ok, 1 error, 2 sweep settled with quarantined\n"
       "shards (coordinator/watch), 3 worker finished but the sweep has\n"
@@ -269,8 +268,9 @@ std::string expand_pid(std::string path) {
 }
 
 /// Writes the observability outputs on every exit path (including error
-/// returns): the registry snapshot plus per-phase totals to --metrics-out
-/// and the profiled spans to --trace-out. Failures warn, never throw.
+/// returns): the registry snapshot, phase timers included, to
+/// --metrics-out and the captured spans to --trace-out. Failures warn,
+/// never throw.
 struct ObsOutputs {
   std::string metrics_path;
   std::string trace_path;
@@ -284,8 +284,6 @@ struct ObsOutputs {
       } else {
         file << "{\n  \"metrics\": ";
         obs::Registry::global().write_json(file, 2);
-        file << ",\n  \"phases\": ";
-        obs::Profiler::global().write_stats_json(file, 2);
         file << "\n}\n";
       }
     }
@@ -324,7 +322,7 @@ void print_cache_summary() {
   const auto& registry = obs::Registry::global();
   const std::uint64_t hits = registry.counter_value("exp.cache.hits");
   const std::uint64_t misses = registry.counter_value("exp.cache.misses");
-  if (hits + misses == 0) return;  // no cache attached (or metrics off)
+  if (hits + misses == 0) return;  // no cache attached
   obs::log_info("cli", "cache: ", hits, " hits, ", misses, " misses, ",
                 registry.counter_value("exp.cache.inserts"), " inserts");
 }
@@ -470,8 +468,6 @@ int main(int argc, char** argv) {
         }
       } else if (flag == "--metrics-out") {
         obs_outputs.metrics_path = next();
-      } else if (flag == "--profile") {
-        obs::Profiler::global().set_enabled(true);
       } else if (flag == "--trace-out") {
         obs_outputs.trace_path = next();
         obs::Profiler::global().set_spans_enabled(true);
@@ -485,6 +481,13 @@ int main(int argc, char** argv) {
       } else {
         throw std::invalid_argument("unknown option " + flag);
       }
+    }
+    // The sharded, merge and watch modes never run a probed simulation.
+    if (!probe_path.empty() &&
+        (shards > 0 || shard_index || merge_mode || watch_mode)) {
+      throw std::invalid_argument(
+          "--probe-out cannot be combined with --shards, --shard-index, "
+          "--merge or --watch");
     }
     // Every run is validated here, so a bad grid fails before any run
     // starts or any worker is spawned.

@@ -31,7 +31,6 @@ namespace {
 
 constexpr char kPlanMagic[] = "sfab-shard-plan v1";
 constexpr char kPoisonMagic[] = "sfab-poison v1";
-constexpr char kProgressMagic[] = "sfab-progress v1";
 
 /// Chaos hook (tests/chaos): when SFAB_CHAOS_COMMIT_ENOSPC=<n> is set, the
 /// n-th fragment commit in this process writes a truncated temp file and
@@ -79,12 +78,12 @@ void fsync_dir(const fs::path& dir) {
 }
 
 /// Writes `text` to `final_path` via a unique temp file and an atomic
-/// rename. With `durable`, the temp file is fsync'd before the rename and
-/// the directory after it, so a host power loss can never expose a
-/// complete-looking truncated file. With `simulate_enospc`, only half the
-/// bytes land and the call fails without renaming (chaos harness).
+/// rename. The temp file is fsync'd before the rename and the directory
+/// after it, so a host power loss can never expose a complete-looking
+/// truncated file. With `simulate_enospc`, only half the bytes land and
+/// the call fails without renaming (chaos harness).
 void write_file_atomic(const fs::path& final_path, const std::string& text,
-                       bool durable, bool simulate_enospc = false) {
+                       bool simulate_enospc) {
   const fs::path tmp = unique_name(final_path.string(), ".tmp.");
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
@@ -108,10 +107,10 @@ void write_file_atomic(const fs::path& final_path, const std::string& text,
     throw std::runtime_error("ShardLedger: no space left on device (chaos) "
                              "writing " + tmp.string());
   }
-  if (durable) fsync_fd_or_throw(fd, tmp.string());
+  fsync_fd_or_throw(fd, tmp.string());
   ::close(fd);
   fs::rename(tmp, final_path);
-  if (durable) fsync_dir(final_path.parent_path());
+  fsync_dir(final_path.parent_path());
 }
 
 /// First-publisher-wins install: write a private temp file, then link(2)
@@ -270,7 +269,7 @@ ShardLedger::ShardLedger(std::string dir, double stale_after_s)
         "ShardLedger: stale_after_s must be finite and > 0");
   }
   for (const char* sub :
-       {"claims", "frags", "parts", "progress", "retries", "poison"}) {
+       {"claims", "frags", "parts", "retries", "poison"}) {
     fs::create_directories(fs::path(dir_) / sub);
   }
   // Sweep tombstones orphaned by a reclaimer that crashed between its
@@ -383,8 +382,7 @@ bool ShardLedger::fragment_exists(const ShardKey& key) const {
 
 void ShardLedger::commit_fragment(const ShardKey& key,
                                   const std::string& csv_text) {
-  write_file_atomic(fragment_path(key), csv_text, /*durable=*/true,
-                    chaos_commit_enospc());
+  write_file_atomic(fragment_path(key), csv_text, chaos_commit_enospc());
   static obs::Counter& commits =
       obs::Registry::global().counter("dist.ledger.commits");
   commits.increment();
@@ -460,42 +458,9 @@ std::vector<std::string> ShardLedger::committed_prefix(
   return prefix;
 }
 
-void ShardLedger::write_progress(const ShardKey& key,
-                                 const ProgressRecord& progress) {
-  std::ostringstream text;
-  text << kProgressMagic << "\ndone " << progress.done << "\ntotal "
-       << progress.total << "\nstamp_ms " << progress.stamp_ms << '\n';
-  // Advisory record: atomic rename so readers never see a torn file, but
-  // no fsync — losing the last progress write costs nothing.
-  write_file_atomic(shard_file("progress", key, ".prog", dir_), text.str(),
-                    /*durable=*/false);
-}
-
-std::optional<ProgressRecord> ShardLedger::read_progress(
-    const ShardKey& key) const {
-  const auto text =
-      read_file_if_exists(shard_file("progress", key, ".prog", dir_));
-  if (!text) return std::nullopt;
-  RecordReader reader(*text);
-  if (reader.magic() != kProgressMagic) return std::nullopt;
-  ProgressRecord progress;
-  std::string field, value;
-  while (reader.next(field, value)) {
-    if (field == "done" || field == "total") {
-      const std::optional<std::size_t> n = parse_number<std::size_t>(value);
-      if (!n) return std::nullopt;
-      (field == "done" ? progress.done : progress.total) = *n;
-    } else if (field == "stamp_ms") {
-      progress.stamp_ms = std::atoll(value.c_str());
-    }
-  }
-  return progress;
-}
-
 void ShardLedger::cleanup_shard(const ShardKey& key) noexcept {
   std::error_code ec;
   fs::remove(shard_file("parts", key, ".rows", dir_), ec);
-  fs::remove(shard_file("progress", key, ".prog", dir_), ec);
 }
 
 // --- retry budget + quarantine -----------------------------------------------

@@ -31,11 +31,8 @@
 //                     exclusive flock and a single write(2), so concurrent
 //                     writers never interleave partial rows. A crashed
 //                     owner's successor resumes from this committed prefix
-//                     instead of recomputing the range.
-//     progress/shard-<key>.prog
-//                     advisory per-shard progress record (runs done /
-//                     total, writer timestamp) rewritten via temp+rename.
-//                     Drives the --watch view.
+//                     instead of recomputing the range, and the --watch
+//                     view counts it as the shard's progress.
 //     retries/shard-<key>.r<N>
 //                     one O_EXCL marker per failed attempt (stale-claim
 //                     reclaim or in-worker shard failure). The count is a
@@ -59,7 +56,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -81,13 +77,6 @@ struct LedgerPlan {
   std::size_t total_runs = 0;
   std::size_t shard_count = 0;
   std::string fingerprint;  ///< dist::fingerprint_of(spec)
-};
-
-/// Advisory streaming-progress record for one shard.
-struct ProgressRecord {
-  std::size_t done = 0;   ///< rows durably streamed, counted from begin
-  std::size_t total = 0;  ///< shard size
-  std::int64_t stamp_ms = 0;  ///< writer's wall clock, ms since epoch
 };
 
 /// Quarantine record for a shard that exhausted its retry budget.
@@ -191,13 +180,8 @@ class ShardLedger {
       const ShardKey& key, std::size_t begin, std::size_t end,
       std::size_t expected_fields = 0) const;
 
-  /// Rewrites the shard's advisory progress record (temp + rename).
-  void write_progress(const ShardKey& key, const ProgressRecord& progress);
-  [[nodiscard]] std::optional<ProgressRecord> read_progress(
-      const ShardKey& key) const;
-
-  /// Removes the shard's streamed rows and progress record — called after
-  /// the fragment commit makes them redundant.
+  /// Removes the shard's streamed rows — called after the fragment commit
+  /// makes them redundant.
   void cleanup_shard(const ShardKey& key) noexcept;
 
   // --- retry budget + quarantine --------------------------------------------

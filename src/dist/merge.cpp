@@ -47,9 +47,9 @@ void append_terminated(std::string& csv, std::string_view rows) {
 
 MergeOutput merge_shards(const std::string& shard_dir,
                          const MergeOptions& options) {
-  static const obs::PhaseId merge_phase =
-      obs::Profiler::global().phase("dist.merge");
-  const obs::ScopedPhase merge_timer(merge_phase);
+  static obs::Histogram& merge_ns =
+      obs::Registry::global().histogram("dist.merge_ns");
+  const obs::ScopedPhase merge_timer(merge_ns);
   const ShardLedger ledger(shard_dir);
   const LedgerPlan plan = ledger.plan();
   if (!options.expected_fingerprint.empty() &&

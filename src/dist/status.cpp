@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "dist/shard_plan.hpp"
+#include "exp/report.hpp"
 
 namespace sfab::dist {
 
@@ -58,9 +59,10 @@ SweepStatus sweep_status(const ShardLedger& ledger) {
       entry.done = std::min(shard.poison->committed, shard.size());
       status.quarantined.push_back(*shard.poison);
     } else {
-      const auto progress = ledger.read_progress(shard.key);
-      entry.done =
-          progress ? std::min(progress->done, shard.size()) : std::size_t{0};
+      entry.done = ledger
+                       .committed_prefix(shard.key, shard.begin, shard.end,
+                                         csv_columns().size())
+                       .size();
       if (entry.claim_age_s) {
         entry.state = *entry.claim_age_s < ledger.stale_after_s()
                           ? ShardState::kRunning

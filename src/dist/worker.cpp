@@ -33,12 +33,6 @@ void warn(const WorkerOptions& options, const std::string& message) {
   return csv_columns().size();
 }
 
-[[nodiscard]] std::int64_t now_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
-
 /// Chaos hook (tests/chaos): SFAB_CHAOS_ABORT_RUN=<index> makes this
 /// worker die (raw _exit, claim file left behind) the instant it is about
 /// to execute that global run — the deterministic per-config crasher the
@@ -115,12 +109,10 @@ class ShardStream {
       note(options_, "resumed shard " + key_ + " from " +
                          std::to_string(flushed_) + " streamed row(s)");
     }
-    ledger_.write_progress(key_,
-                           ProgressRecord{flushed_, rows_.size(), now_ms()});
   }
 
   /// Runner callback (serialized by the runner): stage the row, flush the
-  /// newly contiguous prefix to the parts file, refresh progress.
+  /// newly contiguous prefix to the parts file.
   void stage(const RunRecord& rec) {
     const unsigned delay =
         std::max(options_.run_delay_ms, chaos_slow_run_ms());
@@ -137,15 +129,13 @@ class ShardStream {
       ++at;
     }
     if (batch.empty()) return;
-    static const obs::PhaseId stream_phase =
-        obs::Profiler::global().phase("dist.stream");
+    static obs::Histogram& stream_ns =
+        obs::Registry::global().histogram("dist.stream_ns");
     {
-      const obs::ScopedPhase stream_timer(stream_phase);
+      const obs::ScopedPhase stream_timer(stream_ns);
       ledger_.append_rows(key_, batch);
     }
     flushed_ = at;
-    ledger_.write_progress(key_,
-                           ProgressRecord{flushed_, rows_.size(), now_ms()});
   }
 
   void commit() {
@@ -238,9 +228,9 @@ WorkerReport run_worker(const SweepSpec& spec, std::size_t shard_count,
       if (shard.committed || shard.poison) continue;
       settled = false;
 
-      static const obs::PhaseId claim_phase =
-          obs::Profiler::global().phase("dist.claim");
-      obs::ScopedPhase claim_timer(claim_phase);
+      static obs::Histogram& claim_ns =
+          obs::Registry::global().histogram("dist.claim_ns");
+      obs::ScopedPhase claim_timer(claim_ns);
       auto claim = ledger.try_claim(shard.key, worker_id);
       if (!claim && ledger.reclaim_if_stale(shard.key)) {
         warn(options, "reclaimed stale shard " + shard.key);
@@ -259,9 +249,9 @@ WorkerReport run_worker(const SweepSpec& spec, std::size_t shard_count,
                         std::to_string(shard.begin) + ".." +
                         std::to_string(shard.end) + ")");
       try {
-        static const obs::PhaseId shard_phase =
-            obs::Profiler::global().phase("dist.shard");
-        const obs::ScopedPhase shard_timer(shard_phase);
+        static obs::Histogram& shard_ns =
+            obs::Registry::global().histogram("dist.shard_ns");
+        const obs::ScopedPhase shard_timer(shard_ns);
         ShardStream(ledger, spec, shard, options, report).run();
         ++report.committed;
         progressed = true;

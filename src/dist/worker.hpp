@@ -6,10 +6,9 @@
 // usually rise, so the longest shards start first and the short ones even
 // out the finish), claims whatever is unclaimed, and runs each claimed
 // shard as one SweepRunner::run_range call, streaming every completed
-// run's CSV row to the shard's parts file (in contiguous run order) with
-// a progress record alongside, so a crashed owner's successor
-// resumes from the last committed row instead of recomputing, and a live
-// --watch view can render the sweep mid-flight.
+// run's CSV row to the shard's parts file (in contiguous run order), so a
+// crashed owner's successor resumes from the last committed row instead
+// of recomputing, and a live --watch view can count the rows mid-flight.
 //
 // Stragglers are balanced by over-decomposition: with several shards per
 // worker (default_shard_count), a fast worker keeps claiming while a slow

@@ -29,9 +29,9 @@ ResultSet SweepRunner::run(const SweepSpec& spec) const {
 
 ResultSet SweepRunner::run_range(const SweepSpec& spec, std::size_t begin,
                                  std::size_t end) const {
-  static const obs::PhaseId sweep_phase =
-      obs::Profiler::global().phase("exp.sweep");
-  const obs::ScopedPhase sweep_timer(sweep_phase);
+  static obs::Histogram& sweep_ns =
+      obs::Registry::global().histogram("exp.sweep_ns");
+  const obs::ScopedPhase sweep_timer(sweep_ns);
   std::vector<RunPlan> plans = spec.expand();
   if (begin > end || end > plans.size()) {
     throw std::out_of_range("SweepRunner::run_range: bad range");
@@ -91,11 +91,12 @@ ResultSet SweepRunner::run_range(const SweepSpec& spec, std::size_t begin,
   }
 
   std::mutex callback_mutex;
-  const obs::PhaseId unit_phase = obs::Profiler::global().phase("exp.unit");
+  static obs::Histogram& unit_ns =
+      obs::Registry::global().histogram("exp.unit_ns");
   run_task_pool(units.size(), threads_, [&](const auto& claim) {
     for (std::size_t n = 0; claim(n);) {
       const auto [first, last] = units[n];
-      const obs::ScopedPhase unit_timer(unit_phase);
+      const obs::ScopedPhase unit_timer(unit_ns);
       for (std::size_t m = first; m < last; ++m) {
         RunRecord& record = records[pending[m]];
         record.result = engine_ == ReplicateEngine::kScalar
@@ -125,13 +126,6 @@ ResultSet SweepRunner::run_range(const SweepSpec& spec, std::size_t begin,
 
 ResultSet run_sweep(const SweepSpec& spec, unsigned threads) {
   return SweepRunner(threads).with_cache(ResultCache::from_env()).run(spec);
-}
-
-ResultSet run_shard(const SweepSpec& spec, std::size_t begin, std::size_t end,
-                    unsigned threads) {
-  return SweepRunner(threads)
-      .with_cache(ResultCache::from_env())
-      .run_range(spec, begin, end);
 }
 
 std::vector<SimResult> sweep_offered_load(SimConfig base,

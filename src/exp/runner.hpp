@@ -99,13 +99,6 @@ class SweepRunner {
 [[nodiscard]] ResultSet run_sweep(const SweepSpec& spec,
                                   unsigned threads = 0);
 
-/// Shard-worker convenience: SweepRunner{threads}.run_range(spec, begin,
-/// end) with the SFAB_RESULT_CACHE store attached when configured. Shard
-/// workers sharing one store are safe: cache appends are lockfile-guarded
-/// single writes, so concurrent workers never interleave partial rows.
-[[nodiscard]] ResultSet run_shard(const SweepSpec& spec, std::size_t begin,
-                                  std::size_t end, unsigned threads = 0);
-
 /// Runs `base` once per load value through the engine and returns the bare
 /// results in load order. Paired-sweep semantics: every load point runs
 /// with the same derived seed (derive_stream_seed(base.seed, 0)), so the

@@ -1,6 +1,5 @@
 #include "obs/probe.hpp"
 
-#include <bit>
 #include <ostream>
 
 namespace sfab::obs {
@@ -27,7 +26,6 @@ void ProbeRecorder::on_cycle(const CycleSample& sample) {
   } else {
     port_words_.insert(port_words_.end(), ports_, 0);
   }
-  ++occupancy_histogram_[std::bit_width(sample.queued_words)];
 }
 
 void ProbeRecorder::write_csv(std::ostream& out) const {
@@ -50,22 +48,6 @@ void ProbeRecorder::write_csv(std::ostream& out) const {
     out << "\n";
   }
   out.flags(flags);
-}
-
-void ProbeRecorder::clear() {
-  cycle_.clear();
-  queued_packets_.clear();
-  queued_words_.clear();
-  delivered_words_.clear();
-  delivered_packets_.clear();
-  grants_.clear();
-  stall_cycles_.clear();
-  buffered_words_.clear();
-  switch_energy_j_.clear();
-  buffer_energy_j_.clear();
-  wire_energy_j_.clear();
-  port_words_.clear();
-  occupancy_histogram_.fill(0);
 }
 
 }  // namespace sfab::obs

@@ -14,11 +14,8 @@
 // ProbeRecorder is the standard observer: a compact columnar buffer
 // (one vector per series plus a samples x ports matrix of per-port
 // delivered words) with CSV export, feeding `sfab_cli --probe-out`.
-// It also folds every sample's queue occupancy into a log2 histogram so
-// saturation dwell is visible without post-processing the series.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <vector>
@@ -75,28 +72,12 @@ class ProbeRecorder final : public SimObserver {
 
   [[nodiscard]] std::size_t samples() const noexcept { return cycle_.size(); }
   [[nodiscard]] unsigned ports() const noexcept { return ports_; }
-  [[nodiscard]] const std::vector<std::uint64_t>& cycles() const noexcept {
-    return cycle_;
-  }
-  [[nodiscard]] const std::vector<std::uint64_t>& queued_words()
-      const noexcept {
-    return queued_words_;
-  }
-
-  /// Count of samples by bit_width(queued_words): bucket 0 = empty
-  /// queues, bucket b = occupancy in [2^(b-1), 2^b).
-  [[nodiscard]] const std::array<std::uint64_t, 65>& occupancy_histogram()
-      const noexcept {
-    return occupancy_histogram_;
-  }
 
   /// Header row then one row per sample:
   /// cycle,queued_packets,queued_words,delivered_words,delivered_packets,
   /// grants,stall_cycles,buffered_words,switch_j,buffer_j,wire_j,
   /// port_words_0..port_words_{P-1}
   void write_csv(std::ostream& out) const;
-
-  void clear();
 
  private:
   std::uint64_t stride_;
@@ -113,7 +94,6 @@ class ProbeRecorder final : public SimObserver {
   std::vector<double> buffer_energy_j_;
   std::vector<double> wire_energy_j_;
   std::vector<std::uint64_t> port_words_;  ///< samples x ports, row-major
-  std::array<std::uint64_t, 65> occupancy_histogram_{};
 };
 
 }  // namespace sfab::obs

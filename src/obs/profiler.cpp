@@ -4,8 +4,6 @@
 #include <chrono>
 #include <ostream>
 
-#include "obs/registry.hpp"
-
 namespace sfab::obs {
 
 std::uint64_t now_ns() noexcept {
@@ -26,164 +24,44 @@ std::uint32_t this_thread_tid() noexcept {
 
 }  // namespace
 
-/// Per-thread span store. Registered with the profiler under the mutex
-/// on first use; owned by the profiler (threads may die before export).
-struct Profiler::SpanBuffer {
-  std::uint32_t tid = 0;
-  std::mutex mutex;  // uncontended except during export
-  std::vector<Span> spans;
-};
-
 Profiler& Profiler::global() {
   static Profiler* instance = new Profiler();  // leaked: outlives statics
   return *instance;
 }
 
-PhaseId Profiler::phase(std::string_view name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const std::uint32_t count = phase_count_.load(std::memory_order_relaxed);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (phases_[i]->name == name) return PhaseId{i};
-  }
-  if (count == kMaxPhases) return PhaseId{kMaxPhases};  // record() ignores
-  auto entry = std::make_unique<Phase>();
-  entry->name = std::string(name);
-  entry->shards = std::vector<PhaseShard>(detail::kMetricShards);
-  phases_[count] = std::move(entry);
-  phase_count_.store(count + 1, std::memory_order_release);
-  return PhaseId{count};
-}
-
-Profiler::SpanBuffer& Profiler::this_thread_spans() {
-  static thread_local SpanBuffer* buffer = nullptr;
-  if (buffer == nullptr) {
-    auto owned = std::make_unique<SpanBuffer>();
-    owned->tid = this_thread_tid();
-    buffer = owned.get();
-    const std::lock_guard<std::mutex> lock(mutex_);
-    span_buffers_.push_back(std::move(owned));
-  }
-  return *buffer;
-}
-
-void Profiler::record(PhaseId id, std::uint64_t start_ns,
+void Profiler::record(const Histogram& phase, std::uint64_t start_ns,
                       std::uint64_t duration_ns) noexcept {
-  if (id.index >= phase_count_.load(std::memory_order_acquire)) return;
-  Phase* entry = phases_[id.index].get();
-  PhaseShard& shard = entry->shards[detail::thread_shard()];
-  shard.calls.fetch_add(1, std::memory_order_relaxed);
-  shard.total_ns.fetch_add(duration_ns, std::memory_order_relaxed);
-  std::uint64_t cur = entry->min_ns.load(std::memory_order_relaxed);
-  while (duration_ns < cur && !entry->min_ns.compare_exchange_weak(
-                                  cur, duration_ns, std::memory_order_relaxed)) {
-  }
-  cur = entry->max_ns.load(std::memory_order_relaxed);
-  while (duration_ns > cur && !entry->max_ns.compare_exchange_weak(
-                                  cur, duration_ns, std::memory_order_relaxed)) {
-  }
-
-  if (spans_enabled_.load(std::memory_order_relaxed)) {
-    SpanBuffer& buffer = this_thread_spans();
-    const std::lock_guard<std::mutex> lock(buffer.mutex);
-    buffer.spans.push_back(
-        Span{id.index, buffer.tid, start_ns, duration_ns});
-  }
-}
-
-std::vector<Profiler::PhaseStats> Profiler::stats() const {
-  std::vector<PhaseStats> out;
+  if (!spans_enabled()) return;
+  const Span span{&phase, this_thread_tid(), start_ns, duration_ns};
   const std::lock_guard<std::mutex> lock(mutex_);
-  const std::uint32_t count = phase_count_.load(std::memory_order_acquire);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const auto& entry = phases_[i];
-    PhaseStats row;
-    row.name = entry->name;
-    for (const PhaseShard& shard : entry->shards) {
-      row.calls += shard.calls.load(std::memory_order_relaxed);
-      row.total_ns += shard.total_ns.load(std::memory_order_relaxed);
-    }
-    if (row.calls == 0) continue;
-    row.min_ns = entry->min_ns.load(std::memory_order_relaxed);
-    row.max_ns = entry->max_ns.load(std::memory_order_relaxed);
-    out.push_back(std::move(row));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const PhaseStats& a, const PhaseStats& b) {
-              return a.name < b.name;
-            });
-  return out;
-}
-
-void Profiler::write_stats_json(std::ostream& out, int indent) const {
-  const std::string pad(static_cast<std::size_t>(indent), ' ');
-  const std::vector<PhaseStats> rows = stats();
-  out << "{";
-  bool first = true;
-  for (const PhaseStats& row : rows) {
-    if (!first) out << ",";
-    first = false;
-    out << "\n"
-        << pad << "  \"" << row.name << "\": {\"calls\": " << row.calls
-        << ", \"total_ns\": " << row.total_ns << ", \"mean_ns\": "
-        << (row.total_ns / row.calls) << ", \"min_ns\": " << row.min_ns
-        << ", \"max_ns\": " << row.max_ns << "}";
-  }
-  if (!first) out << "\n" << pad;
-  out << "}";
+  spans_.push_back(span);
 }
 
 void Profiler::write_trace_json(std::ostream& out) const {
   // Chrome trace-event "complete" events; ts/dur are microseconds (the
   // format's unit), emitted with fractional precision to keep ns data.
-  struct NamedSpan {
-    const std::string* name;
-    Span span;
-  };
-  std::vector<NamedSpan> all;
+  std::vector<Span> spans;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& buffer : span_buffers_) {
-      const std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-      for (const Span& span : buffer->spans) {
-        all.push_back(NamedSpan{&phases_[span.phase]->name, span});
-      }
-    }
+    spans = spans_;
   }
-  std::sort(all.begin(), all.end(), [](const NamedSpan& a, const NamedSpan& b) {
-    return a.span.start_ns < b.span.start_ns;
+  std::sort(spans.begin(), spans.end(), [](const Span& a, const Span& b) {
+    return a.start_ns < b.start_ns;
   });
 
   out << "{\"traceEvents\": [";
   bool first = true;
-  for (const NamedSpan& item : all) {
+  for (const Span& span : spans) {
     if (!first) out << ",";
     first = false;
-    out << "\n  {\"name\": \"" << *item.name
+    out << "\n  {\"name\": \"" << span.phase->name()
         << "\", \"cat\": \"sfab\", \"ph\": \"X\", \"pid\": 1, \"tid\": "
-        << item.span.tid << ", \"ts\": " << item.span.start_ns / 1000 << "."
-        << (item.span.start_ns % 1000) / 100
-        << ", \"dur\": " << item.span.duration_ns / 1000 << "."
-        << (item.span.duration_ns % 1000) / 100 << "}";
+        << span.tid << ", \"ts\": " << span.start_ns / 1000 << "."
+        << (span.start_ns % 1000) / 100
+        << ", \"dur\": " << span.duration_ns / 1000 << "."
+        << (span.duration_ns % 1000) / 100 << "}";
   }
   out << "\n]}\n";
-}
-
-void Profiler::reset() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const std::uint32_t count = phase_count_.load(std::memory_order_relaxed);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    auto& entry = phases_[i];
-    for (PhaseShard& shard : entry->shards) {
-      shard.calls.store(0, std::memory_order_relaxed);
-      shard.total_ns.store(0, std::memory_order_relaxed);
-    }
-    entry->min_ns.store(~std::uint64_t{0}, std::memory_order_relaxed);
-    entry->max_ns.store(0, std::memory_order_relaxed);
-  }
-  for (auto& buffer : span_buffers_) {
-    const std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-    buffer->spans.clear();
-  }
 }
 
 }  // namespace sfab::obs

@@ -2,78 +2,25 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <ostream>
 #include <vector>
 
 namespace sfab::obs {
 
-namespace {
-
-std::atomic<bool>& enabled_flag() noexcept {
-  static std::atomic<bool> enabled{[] {
-    const char* env = std::getenv("SFAB_METRICS");
-    return env == nullptr || std::string_view(env) != "0";
-  }()};
-  return enabled;
-}
-
-}  // namespace
-
-bool metrics_enabled() noexcept {
-  return enabled_flag().load(std::memory_order_relaxed);
-}
-
-void set_metrics_enabled(bool enabled) noexcept {
-  enabled_flag().store(enabled, std::memory_order_relaxed);
-}
-
-namespace detail {
-
-unsigned thread_shard() noexcept {
-  static std::atomic<unsigned> next{0};
-  static thread_local const unsigned shard =
-      next.fetch_add(1, std::memory_order_relaxed) % kMetricShards;
-  return shard;
-}
-
-}  // namespace detail
-
 // --- Histogram ---------------------------------------------------------------
 
-Histogram::Histogram(std::string name) : name_(std::move(name)) {}
-
 void Histogram::observe(std::uint64_t v) noexcept {
-  if (!metrics_enabled()) return;
-  Shard& shard = shards_[detail::thread_shard()];
-  shard.count.fetch_add(1, std::memory_order_relaxed);
-  shard.sum.fetch_add(v, std::memory_order_relaxed);
-  shard.buckets[std::bit_width(v)].fetch_add(1, std::memory_order_relaxed);
-
-  std::uint64_t cur = min_.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !min_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-  cur = max_.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !max_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  snap_.min = snap_.count == 0 ? v : std::min(snap_.min, v);
+  snap_.max = std::max(snap_.max, v);
+  ++snap_.count;
+  snap_.sum += v;
+  ++snap_.buckets[std::bit_width(v)];
 }
 
 Histogram::Snapshot Histogram::snapshot() const noexcept {
-  Snapshot snap;
-  for (const Shard& shard : shards_) {
-    snap.count += shard.count.load(std::memory_order_relaxed);
-    snap.sum += shard.sum.load(std::memory_order_relaxed);
-    for (unsigned b = 0; b < kBuckets; ++b) {
-      snap.buckets[b] += shard.buckets[b].load(std::memory_order_relaxed);
-    }
-  }
-  if (snap.count != 0) {
-    snap.min = min_.load(std::memory_order_relaxed);
-    snap.max = max_.load(std::memory_order_relaxed);
-  }
-  return snap;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return snap_;
 }
 
 // --- Registry ----------------------------------------------------------------
@@ -83,40 +30,31 @@ Registry& Registry::global() {
   return *instance;                            // outlive every static dtor
 }
 
-Counter& Registry::counter(std::string_view name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_
+template <class T>
+T& Registry::find_or_add(Directory<T>& directory, std::string_view name) {
+  auto it = directory.find(name);
+  if (it == directory.end()) {
+    it = directory
              .emplace(std::string(name),
-                      std::unique_ptr<Counter>(new Counter(std::string(name))))
+                      std::unique_ptr<T>(new T(std::string(name))))
              .first;
   }
   return *it->second;
+}
+
+Counter& Registry::counter(std::string_view name) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return find_or_add(counters_, name);
 }
 
 Gauge& Registry::gauge(std::string_view name) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_
-             .emplace(std::string(name),
-                      std::unique_ptr<Gauge>(new Gauge(std::string(name))))
-             .first;
-  }
-  return *it->second;
+  return find_or_add(gauges_, name);
 }
 
 Histogram& Registry::histogram(std::string_view name) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(std::string(name), std::unique_ptr<Histogram>(
-                                             new Histogram(std::string(name))))
-             .first;
-  }
-  return *it->second;
+  return find_or_add(histograms_, name);
 }
 
 std::uint64_t Registry::counter_value(std::string_view name) const {
@@ -129,29 +67,6 @@ std::uint64_t Registry::gauge_value(std::string_view name) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = gauges_.find(name);
   return it == gauges_.end() ? 0 : it->second->value();
-}
-
-void Registry::reset() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [name, counter] : counters_) {
-    for (auto& slot : counter->slots_) {
-      slot.value.store(0, std::memory_order_relaxed);
-    }
-  }
-  for (auto& [name, gauge] : gauges_) {
-    gauge->value_.store(0, std::memory_order_relaxed);
-  }
-  for (auto& [name, hist] : histograms_) {
-    for (auto& shard : hist->shards_) {
-      shard.count.store(0, std::memory_order_relaxed);
-      shard.sum.store(0, std::memory_order_relaxed);
-      for (auto& bucket : shard.buckets) {
-        bucket.store(0, std::memory_order_relaxed);
-      }
-    }
-    hist->min_.store(~std::uint64_t{0}, std::memory_order_relaxed);
-    hist->max_.store(0, std::memory_order_relaxed);
-  }
 }
 
 namespace {

@@ -2,22 +2,16 @@
 //
 // The observability contract of the whole src/obs layer: instruments must
 // never perturb a simulation (no RNG draws, no FP-order changes — metrics
-// only *read* or count alongside) and must cost nothing measurable when
-// nobody is looking. Counters are sharded: each thread increments its own
-// cache-line-padded slot with a relaxed atomic add, so concurrent writers
-// never contend on a line, and a snapshot sums the shards — exact, because
-// every increment is an atomic add to exactly one slot.
+// only *read* or count alongside). Every call site sits on a per-run,
+// per-unit or per-shard path, never in a cycle loop, so instruments are
+// always on and plain: a counter or gauge is one relaxed atomic word, a
+// histogram one mutex-guarded snapshot. Both stay exact under concurrent
+// writers.
 //
 // Naming is hierarchical by dots ("exp.cache.hits"); snapshots render the
-// tree as nested JSON so `sfab_cli --metrics-out` and the bench JSON embed
-// one self-describing object. Instruments register once (mutex-guarded,
-// cold) and hand back stable references the hot call sites cache.
-//
-// The whole registry can be switched off (SFAB_METRICS=0 or
-// set_metrics_enabled(false)): add()/observe() reduce to one relaxed
-// atomic bool load and a predictable branch. Instrumented call sites in
-// this codebase sit on per-run / per-shard paths, never in the per-cycle
-// loop, so even the enabled cost is unmeasurable against a simulation.
+// tree as nested JSON so `sfab_cli --metrics-out` embeds one
+// self-describing object. Instruments register once (mutex-guarded) and
+// hand back stable references the call sites cache.
 #pragma once
 
 #include <array>
@@ -32,63 +26,33 @@
 
 namespace sfab::obs {
 
-/// Registry-wide switch. Defaults to enabled unless SFAB_METRICS=0 is in
-/// the environment when first consulted.
-[[nodiscard]] bool metrics_enabled() noexcept;
-void set_metrics_enabled(bool enabled) noexcept;
-
-namespace detail {
-/// Number of per-thread shards per instrument. Threads are assigned a
-/// shard round-robin on first use; more threads than shards share slots
-/// (still exact: the adds are atomic), they just may contend a little.
-inline constexpr unsigned kMetricShards = 16;
-
-/// This thread's shard index (assigned once, round-robin).
-[[nodiscard]] unsigned thread_shard() noexcept;
-
-struct alignas(64) PaddedU64 {
-  std::atomic<std::uint64_t> value{0};
-};
-}  // namespace detail
-
 /// Monotone event counter.
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept {
-    if (!metrics_enabled()) return;
-    slots_[detail::thread_shard()].value.fetch_add(
-        n, std::memory_order_relaxed);
+    value_.fetch_add(n, std::memory_order_relaxed);
   }
   void increment() noexcept { add(1); }
-
-  /// Sum over all shards. Exact once concurrent writers have quiesced.
   [[nodiscard]] std::uint64_t value() const noexcept {
-    std::uint64_t sum = 0;
-    for (const auto& slot : slots_) {
-      sum += slot.value.load(std::memory_order_relaxed);
-    }
-    return sum;
+    return value_.load(std::memory_order_relaxed);
   }
-
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
  private:
   friend class Registry;
   explicit Counter(std::string name) : name_(std::move(name)) {}
   std::string name_;
-  std::array<detail::PaddedU64, detail::kMetricShards> slots_;
+  std::atomic<std::uint64_t> value_{0};
 };
 
 /// Last-write or high-water value (one word; writers race benignly).
 class Gauge {
  public:
   void set(std::uint64_t v) noexcept {
-    if (!metrics_enabled()) return;
     value_.store(v, std::memory_order_relaxed);
   }
   /// Raises the gauge to `v` if larger (high-water mark semantics).
   void observe_max(std::uint64_t v) noexcept {
-    if (!metrics_enabled()) return;
     std::uint64_t cur = value_.load(std::memory_order_relaxed);
     while (v > cur &&
            !value_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
@@ -107,11 +71,9 @@ class Gauge {
 };
 
 /// Log2-bucketed histogram over unsigned values (the caller picks the
-/// unit — nanoseconds for latencies, words for depths). Bucket b counts
+/// unit — nanoseconds for latencies and phase timers). Bucket b counts
 /// values v with bit_width(v) == b, i.e. v in [2^(b-1), 2^b); bucket 0
-/// counts zeros. Count/sum/buckets are sharded like Counter; min/max are
-/// single atomics maintained with CAS (exact, slightly contended — fine
-/// at instrument frequencies).
+/// counts zeros.
 class Histogram {
  public:
   static constexpr unsigned kBuckets = 65;
@@ -135,18 +97,11 @@ class Histogram {
 
  private:
   friend class Registry;
-  explicit Histogram(std::string name);
-
-  struct alignas(64) Shard {
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> sum{0};
-    std::array<std::atomic<std::uint64_t>, kBuckets> buckets{};
-  };
+  explicit Histogram(std::string name) : name_(std::move(name)) {}
 
   std::string name_;
-  std::array<Shard, detail::kMetricShards> shards_;
-  std::atomic<std::uint64_t> min_{~std::uint64_t{0}};
-  std::atomic<std::uint64_t> max_{0};
+  mutable std::mutex mutex_;
+  Snapshot snap_;
 };
 
 /// The process-wide instrument directory. Instruments live for the life
@@ -171,17 +126,21 @@ class Registry {
   /// output is deterministic.
   void write_json(std::ostream& out, int indent = 0) const;
 
-  /// Zeroes every registered instrument (tests; instruments stay
-  /// registered and previously returned references stay valid).
-  void reset();
-
  private:
+  template <class T>
+  using Directory = std::map<std::string, std::unique_ptr<T>, std::less<>>;
+
   Registry() = default;
 
+  /// The instrument named `name`, created on first use. Caller holds
+  /// mutex_.
+  template <class T>
+  static T& find_or_add(Directory<T>& directory, std::string_view name);
+
   mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
+  Directory<Counter> counters_;
+  Directory<Gauge> gauges_;
+  Directory<Histogram> histograms_;
 };
 
 }  // namespace sfab::obs

@@ -607,13 +607,16 @@ TEST_F(DistTest, SweepStatusTracksShardStates) {
   ledger.publish(
       dist::LedgerPlan{spec.run_count(), 2, dist::fingerprint_of(spec)});
 
-  // Shard "0" committed, shard "1" live-claimed with streamed progress.
+  // Shard "0" committed, shard "1" live-claimed with two streamed rows
+  // (runs 6 and 7, full CSV width).
   std::string fragment = csv_header() + '\n';
   for (int i = 0; i < 6; ++i) fragment += std::to_string(i) + ",x\n";
   ledger.commit_fragment(dist::ShardKey("0"), fragment);
   auto claim = ledger.try_claim(dist::ShardKey("1"), "worker-live");
   ASSERT_TRUE(claim.has_value());
-  ledger.write_progress(dist::ShardKey("1"), dist::ProgressRecord{2, 6, 0});
+  const std::string empty_fields(csv_columns().size() - 1, ',');
+  ledger.append_rows(dist::ShardKey("1"),
+                     {"6" + empty_fields, "7" + empty_fields});
 
   dist::SweepStatus status = dist::sweep_status(ledger);
   ASSERT_EQ(status.shards.size(), 2u);

@@ -1,7 +1,7 @@
 // Tests for the observability layer itself: registry exactness under
-// concurrency, histogram bucketing, leveled logging, the phase
-// profiler's aggregates and trace export, and the host provenance JSON. Bit-identity of *observed
-// simulations* is covered separately by test_obs_identity.cpp.
+// concurrency, histogram bucketing, leveled logging, phase timers and
+// their trace export, and the host provenance JSON. Bit-identity of
+// *observed simulations* is covered separately by test_obs_identity.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -50,17 +50,6 @@ TEST(Registry, SameNameReturnsSameInstrument) {
   Counter& a = Registry::global().counter("test.idempotent");
   Counter& b = Registry::global().counter("test.idempotent");
   EXPECT_EQ(&a, &b);
-}
-
-TEST(Registry, DisabledCountersDropIncrements) {
-  Counter& counter = Registry::global().counter("test.disabled.counter");
-  const std::uint64_t before = counter.value();
-  set_metrics_enabled(false);
-  counter.add(1000);
-  set_metrics_enabled(true);
-  EXPECT_EQ(counter.value(), before);
-  counter.increment();
-  EXPECT_EQ(counter.value(), before + 1);
 }
 
 TEST(Registry, GaugeObserveMaxKeepsHighWater) {
@@ -146,6 +135,24 @@ TEST(Registry, WriteJsonNestsDottedNames) {
   EXPECT_NE(text.find("\"gauge\": 9"), std::string::npos);
 }
 
+TEST(Registry, WriteJsonRendersPhaseHistogramsUnderTheirPath) {
+  {
+    const ScopedPhase timer(
+        Registry::global().histogram("test.json.phase.unit_ns"));
+  }
+  std::ostringstream out;
+  Registry::global().write_json(out);
+  const std::string text = out.str();
+  const std::size_t phase = text.find("\"phase\": {");
+  ASSERT_NE(phase, std::string::npos) << text;
+  const std::size_t leaf =
+      text.find("\"unit_ns\": {\"count\": 1, \"sum\": ", phase);
+  ASSERT_NE(leaf, std::string::npos) << text;
+  for (const char* key : {"\"mean\": ", "\"min\": ", "\"max\": "}) {
+    EXPECT_NE(text.find(key, leaf), std::string::npos) << key;
+  }
+}
+
 TEST(Log, LevelsFilterAndSinkCaptures) {
   std::ostringstream captured;
   set_log_sink(&captured);
@@ -175,90 +182,43 @@ TEST(Log, ParseLevelNamesAndFallback) {
   EXPECT_EQ(parse_log_level("bogus", LogLevel::kInfo), LogLevel::kInfo);
 }
 
-TEST(Profiler, AggregatesScopedPhases) {
-  Profiler& profiler = Profiler::global();
-  const PhaseId id = profiler.phase("test.profiler.scope");
-  profiler.set_enabled(true);
+TEST(Profiler, ScopedPhasesObserveTheirHistogram) {
+  Histogram& phase = Registry::global().histogram("test.profiler.scope_ns");
   for (int i = 0; i < 3; ++i) {
-    const ScopedPhase timer(id);
+    const ScopedPhase timer(phase);
   }
-  profiler.set_enabled(false);
-
-  bool found = false;
-  for (const Profiler::PhaseStats& stats : profiler.stats()) {
-    if (stats.name != "test.profiler.scope") continue;
-    found = true;
-    EXPECT_GE(stats.calls, 3u);
-    EXPECT_GE(stats.max_ns, stats.min_ns);
-    EXPECT_GE(stats.total_ns, stats.max_ns);
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(Profiler, DisabledScopesRecordNothing) {
-  Profiler& profiler = Profiler::global();
-  const PhaseId id = profiler.phase("test.profiler.disabled");
-  profiler.set_enabled(false);
-  {
-    const ScopedPhase timer(id);
-  }
-  for (const Profiler::PhaseStats& stats : profiler.stats()) {
-    EXPECT_NE(stats.name, "test.profiler.disabled");
-  }
+  const Histogram::Snapshot snap = phase.snapshot();
+  EXPECT_EQ(snap.count, 3u);
+  EXPECT_LE(snap.min, snap.max);
+  EXPECT_LE(snap.max, snap.sum);
 }
 
 TEST(Profiler, FinishIsIdempotent) {
-  Profiler& profiler = Profiler::global();
-  const PhaseId id = profiler.phase("test.profiler.finish");
-  profiler.set_enabled(true);
+  Histogram& phase = Registry::global().histogram("test.profiler.finish_ns");
   {
-    ScopedPhase timer(id);
+    ScopedPhase timer(phase);
     timer.finish();
     timer.finish();  // second call must not double-record
   }                  // nor the destructor
-  profiler.set_enabled(false);
-  for (const Profiler::PhaseStats& stats : profiler.stats()) {
-    if (stats.name == "test.profiler.finish") {
-      EXPECT_EQ(stats.calls, 1u);
-    }
-  }
+  EXPECT_EQ(phase.snapshot().count, 1u);
 }
 
 TEST(Profiler, TraceExportIsChromeTraceShaped) {
   Profiler& profiler = Profiler::global();
-  const PhaseId id = profiler.phase("test.profiler.trace");
   profiler.set_spans_enabled(true);
   {
-    const ScopedPhase timer(id);
+    const ScopedPhase timer(
+        Registry::global().histogram("test.profiler.trace_ns"));
   }
   profiler.set_spans_enabled(false);
-  profiler.set_enabled(false);
 
   std::ostringstream out;
   profiler.write_trace_json(out);
   const std::string text = out.str();
   EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(text.find("\"test.profiler.trace\""), std::string::npos);
+  EXPECT_NE(text.find("\"test.profiler.trace_ns\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(text.find("\"cat\": \"sfab\""), std::string::npos);
-}
-
-TEST(Profiler, StatsJsonCarriesPerPhaseTotals) {
-  Profiler& profiler = Profiler::global();
-  const PhaseId id = profiler.phase("test.profiler.statsjson");
-  profiler.set_enabled(true);
-  {
-    const ScopedPhase timer(id);
-  }
-  profiler.set_enabled(false);
-
-  std::ostringstream out;
-  profiler.write_stats_json(out);
-  const std::string text = out.str();
-  EXPECT_NE(text.find("\"test.profiler.statsjson\""), std::string::npos);
-  EXPECT_NE(text.find("\"calls\""), std::string::npos);
-  EXPECT_NE(text.find("\"total_ns\""), std::string::npos);
-  EXPECT_NE(text.find("\"mean_ns\""), std::string::npos);
 }
 
 TEST(HostInfo, JsonNamesTheMachineAndTheDispatchedKernels) {

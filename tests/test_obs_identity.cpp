@@ -1,5 +1,5 @@
 // Observation must be free of side effects: a run with cycle probes and
-// the phase profiler enabled must produce a SimResult bit-identical to
+// span capture enabled must produce a SimResult bit-identical to
 // the unobserved run — and both must still match the committed
 // test_bit_identity goldens. Only the reference engine takes an observer
 // (run_reference_simulation), so each observed result is checked against
@@ -103,8 +103,8 @@ void expect_golden(const SimResult& observed) {
 
 TEST(ObsIdentity, ProfiledAndProbedRunMatchesGoldens) {
   // The same goldens test_bit_identity pins, re-asserted with the full
-  // observability stack on: profiler, span capture, stride-1 probes on
-  // the reference engine, and the packet engine beside it.
+  // observability stack on: span capture, stride-1 probes on the
+  // reference engine, and the packet engine beside it.
   const SimConfig config = config_named("crossbar_fifo_uniform");
   obs::Counter& engine_runs =
       obs::Registry::global().counter("sim.lane.laned_lanes");
@@ -114,7 +114,6 @@ TEST(ObsIdentity, ProfiledAndProbedRunMatchesGoldens) {
   const SimResult observed = run_reference_simulation(config, &recorder);
   const SimResult engine = run_simulation(config);
   obs::Profiler::global().set_spans_enabled(false);
-  obs::Profiler::global().set_enabled(false);
 
   expect_golden(observed);
   expect_golden(engine);
@@ -125,14 +124,14 @@ TEST(ObsIdentity, ProfiledAndProbedRunMatchesGoldens) {
 }
 
 TEST(ObsIdentity, ProfiledUnobservedRunIsBitIdentical) {
-  // Profiler on, no observer: timing the sweep phases must not change a
-  // result on either engine.
+  // Span capture on, no observer: timing the sweep phases must not
+  // change a result on either engine.
   const SimConfig config = config_named("crossbar_voq_hot");
   const SimResult plain = run_reference_simulation(config);
-  obs::Profiler::global().set_enabled(true);
+  obs::Profiler::global().set_spans_enabled(true);
   const SimResult profiled = run_simulation(config);
   const SimResult profiled_reference = run_reference_simulation(config);
-  obs::Profiler::global().set_enabled(false);
+  obs::Profiler::global().set_spans_enabled(false);
   expect_identical(profiled, plain, "profiled crossbar_voq_hot");
   expect_identical(profiled_reference, plain,
                    "profiled reference crossbar_voq_hot");

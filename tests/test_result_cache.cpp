@@ -164,7 +164,6 @@ std::string with_field(const std::string& row, std::size_t index,
 }
 
 TEST(ResultCache, MalformedRowsAreDroppedAndCounted) {
-  obs::set_metrics_enabled(true);
   TempCsv csv{"sfab_cache_malformed.csv"};
   const SimConfig config = small_config();
   const SimResult result = run_simulation(config);
