@@ -1,8 +1,14 @@
 // Demonstrates how Table 1 would be produced: random-vector power
 // characterization of synthesized gate netlists — our in-repo substitute
 // for the paper's Synopsys Power Compiler flow.
+#include <algorithm>
 #include <iostream>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
+#include "common/task_pool.hpp"
 #include "common/units.hpp"
 #include "gatelevel/bitsliced.hpp"
 #include "gatelevel/power_sim.hpp"
@@ -21,7 +27,12 @@ int main() {
   // tighter than the pre-bitslicing run of this bench at a fraction of
   // the wall clock — and the wide-MUX table below now extends to N = 256
   // inputs, which the 64-lane engine had to truncate at N = 16 for cost.
-  const CharacterizationConfig cfg{256'000, 128, 0x7ab1e1};
+  // Masks and MUX rows are independent samples: the masks go to
+  // characterize()'s worker pool, the rows to one task each, and the
+  // results are the same at any worker count.
+  CharacterizationConfig cfg{256'000, 128, 0x7ab1e1};
+  cfg.threads = 0;
+  const unsigned workers = std::max(1u, std::thread::hardware_concurrency());
   const auto paper = SwitchEnergyTables::paper_defaults();
 
   std::cout << "=== Gate-level LUT derivation (substitute for Power "
@@ -94,18 +105,23 @@ int main() {
   std::cout << "\nN-input MUX (all inputs driven, random selects; N > 32 "
                "uses the all-active drive plan — a uint32_t occupancy mask "
                "can't express those states):\n";
+  const std::vector<unsigned> sizes{4, 8, 16, 64, 256};
+  std::vector<std::vector<std::string>> rows(sizes.size());
+  run_task_pool(sizes.size(), workers, [&](const auto& claim) {
+    for (std::size_t i = 0; claim(i);) {
+      const unsigned n = sizes[i];
+      SwitchHarness mux = build_mux(n, 32);
+      const MaskEnergy result = characterize_all_active(mux, cfg);
+      const double derived = result.energy_per_bit_j / fJ;
+      const double expected = paper.mux_energy_per_bit(n) / fJ;
+      rows[i] = {std::to_string(n), std::to_string(mux.netlist.num_gates()),
+                 format_fixed(derived, 0), format_fixed(expected, 0),
+                 format_fixed(derived / expected, 2)};
+    }
+  });
   TextTable m;
   m.set_header({"N", "gates", "derived (fJ/bit)", "paper (fJ/bit)", "ratio"});
-  for (const unsigned n : {4u, 8u, 16u, 64u, 256u}) {
-    SwitchHarness mux = build_mux(n, 32);
-    const MaskEnergy result = characterize_all_active(mux, cfg);
-    const double derived = result.energy_per_bit_j / fJ;
-    const double expected = paper.mux_energy_per_bit(n) / fJ;
-    m.add_row({std::to_string(n),
-               std::to_string(mux.netlist.num_gates()),
-               format_fixed(derived, 0), format_fixed(expected, 0),
-               format_fixed(derived / expected, 2)});
-  }
+  for (auto& row : rows) m.add_row(std::move(row));
   m.print(std::cout);
 
   std::cout << "\n(shape checks: [1,1] > [0,1] but < 2x; sorter > banyan "

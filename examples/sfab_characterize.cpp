@@ -5,10 +5,11 @@
 //
 //   sfab_characterize --out power/luts/switch_luts.json
 //
-// CI's drift gate regenerates a reduced ladder (--reduced: MUX port counts
-// stop at 64 instead of 1024; every other knob identical) and requires the
-// rows it produces to match the committed artifact hexfloat for hexfloat —
-// see scripts/check_lut_drift.py.
+// CI's drift gate regenerates the full ladder with these defaults and
+// requires the file to equal the committed artifact byte for byte, then
+// runs scripts/check_lut_drift.py on it for per-row messages. --reduced
+// stops the MUX ladder at 64 for a quick local check whose rows the
+// script compares against the committed ones.
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "common/parse.hpp"
+#include "gatelevel/bitsliced.hpp"
 #include "power/lut_artifact.hpp"
 #include "power/technology.hpp"
 
@@ -35,7 +37,7 @@ void usage(std::ostream& out) {
          "cores)\n"
          "  --max-mux N     top MUX port count, pow2 >= 4 (default 1024)\n"
          "  --presets A,B   technology presets (default: all)\n"
-         "  --reduced       CI drift-gate ladder: --max-mux 64\n";
+         "  --reduced       quick drift check: --max-mux 64\n";
 }
 
 std::vector<std::string> split_csv(const std::string& text) {
@@ -76,6 +78,14 @@ int main(int argc, char** argv) {
         options.generator.seed = sfab::parse_flag<std::uint64_t>(arg, next());
       } else if (arg == "--lanes") {
         options.generator.lanes = sfab::parse_flag<unsigned>(arg, next());
+        if (options.generator.lanes < 1 ||
+            options.generator.lanes >
+                sfab::gatelevel::BitslicedNetlist::kMaxLanes) {
+          throw std::invalid_argument(
+              "--lanes " + std::to_string(options.generator.lanes) +
+              " is outside 1.." +
+              std::to_string(sfab::gatelevel::BitslicedNetlist::kMaxLanes));
+        }
       } else if (arg == "--bits") {
         options.generator.bits_per_port =
             sfab::parse_flag<unsigned>(arg, next());
@@ -85,6 +95,9 @@ int main(int argc, char** argv) {
         options.max_mux_inputs = sfab::parse_flag<unsigned>(arg, next());
       } else if (arg == "--presets") {
         options.presets = split_csv(next());
+        if (options.presets.empty()) {
+          throw std::invalid_argument("--presets names no preset");
+        }
         for (const std::string& name : options.presets) {
           (void)sfab::TechnologyParams::preset(name);  // validate early
         }

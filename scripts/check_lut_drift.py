@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Exact-match drift gate for the switch-energy LUT artifact.
 
-CI regenerates a reduced characterization ladder (sfab_characterize
---reduced: same generator config, MUX port counts stopping early) and this
-script requires every row the regenerated file contains to match the
-committed artifact hexfloat-string for hexfloat-string. The ladder is
+CI regenerates the full characterization ladder (sfab_characterize with
+its defaults) and this script requires every row the regenerated file
+contains to match the committed artifact hexfloat-string for
+hexfloat-string; CI then compares the two files byte for byte. A reduced
+ladder (sfab_characterize --reduced: same generator config, MUX port
+counts stopping early) is checked the same way, row by row. The ladder is
 deterministic and the artifact stores doubles as C99 hexfloats, so any
 difference at all means the gate-level ground truth and the committed
 coefficients have drifted apart — which fails the build.
@@ -49,7 +51,7 @@ def index_presets(artifact):
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("regenerated", help="freshly generated (reduced) artifact")
+    parser.add_argument("regenerated", help="freshly generated artifact")
     parser.add_argument("--committed", default="power/luts/switch_luts.json",
                         help="committed ground-truth artifact")
     args = parser.parse_args()
@@ -77,8 +79,9 @@ def main():
                 failures.append(f"{name}.{key}: regenerated {preset.get(key)!r} "
                                 f"!= committed {base.get(key)!r}")
 
-        # The reduced ladder is a prefix of the committed MUX ladder: every
-        # regenerated (inputs, energy) row must appear verbatim.
+        # A regenerated MUX ladder is the committed one or, reduced, a
+        # prefix of it: every regenerated (inputs, energy) row must appear
+        # verbatim.
         base_mux = dict(zip(base.get("mux_inputs", []),
                             base.get("mux_per_bit_j", [])))
         for inputs, energy in zip(preset.get("mux_inputs", []),

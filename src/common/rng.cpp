@@ -48,35 +48,65 @@ Rng Rng::split() noexcept { return Rng{next_u64()}; }
 
 namespace {
 
-/// In-place 64x64 bit-matrix ANTI-diagonal transpose (the Hacker's
-/// Delight 7-3 network read in LSB-first convention): afterwards bit j of
-/// word i equals the old bit (63 - i) of word (63 - j). Callers undo the
-/// two reversals with index order alone, so a true transpose costs no
-/// extra bit operations.
-void antitranspose64(std::uint64_t a[64]) noexcept {
-  std::uint64_t m = 0x00000000FFFFFFFFull;
-  for (unsigned j = 32; j != 0; j >>= 1, m ^= m << j) {
-    for (unsigned k = 0; k < 64; k = (k + j + 1) & ~j) {
-      const std::uint64_t t = (a[k] ^ (a[k + j] >> j)) & m;
-      a[k] ^= t;
-      a[k + j] ^= t << j;
+/// One xoshiro256** step of the C words of lanes at `state` (planes of
+/// `stride` words, s3's stored rotated by s3_shift): writes output bit b
+/// of every lane to out[b * stride], then steps the state. C is a compile
+/// time width so each plane operation is a few vector instructions with
+/// its carries in registers.
+template <unsigned C>
+void step_lanes(std::uint64_t* state, std::size_t stride, unsigned s3_shift,
+                std::uint64_t* out) noexcept {
+  const auto plane = [&](unsigned word, unsigned bit) {
+    return state + std::size_t{64 * word + bit} * stride;
+  };
+
+  // The output rotl(s1 * 5, 7) * 9 as two ripple-carry adders: s1 plus
+  // s1 << 2, then r plus r << 3 with r the product read 7 planes rotated.
+  std::uint64_t product[64][C] = {};
+  std::uint64_t carry[C] = {};
+  for (unsigned b = 0; b < 64; ++b) {
+    const std::uint64_t* x = plane(1, b);
+    const std::uint64_t* y = plane(1, (b - 2) & 63);
+    for (unsigned j = 0; j < C; ++j) {
+      const std::uint64_t shifted = b >= 2 ? y[j] : 0;
+      const std::uint64_t half = x[j] ^ shifted;
+      product[b][j] = half ^ carry[j];
+      carry[j] = (x[j] & shifted) | (half & carry[j]);
     }
   }
-}
-
-/// Refills one 64-lane group: draws one raw u64 from each of `lanes[0..64)`
-/// and writes 64 consecutive stimulus words into out[0..64) (out[t] bit k =
-/// bit t of lane k's draw — LSB-first per lane, exactly BitRng's
-/// consumption order). Loading lane k's draw into row 63-k and reading the
-/// anti-transposed words back reversed undoes both reversals with index
-/// order alone.
-void refill_lane_group(Rng* lanes, std::uint64_t* out) noexcept {
-  std::uint64_t scratch[64];
-  for (unsigned k = 0; k < 64; ++k) {
-    scratch[63 - k] = lanes[k].next_u64();
+  for (unsigned j = 0; j < C; ++j) carry[j] = 0;
+  for (unsigned b = 0; b < 64; ++b) {
+    const std::uint64_t* x = product[(b - 7) & 63];
+    const std::uint64_t* y = product[(b - 10) & 63];
+    std::uint64_t* o = out + std::size_t{b} * stride;
+    for (unsigned j = 0; j < C; ++j) {
+      const std::uint64_t shifted = b >= 3 ? y[j] : 0;
+      const std::uint64_t half = x[j] ^ shifted;
+      o[j] = half ^ carry[j];
+      carry[j] = (x[j] & shifted) | (half & carry[j]);
+    }
   }
-  antitranspose64(scratch);
-  for (unsigned t = 0; t < 64; ++t) out[t] = scratch[63 - t];
+
+  // State step: t = s1 << 17; s2 ^= s0; s3 ^= s1; s1 ^= s2; s0 ^= s3;
+  // s2 ^= t; s3 = rotl(s3, 45). Bit b of each update reads bit b of the
+  // others and bit b - 17 of the old s1, so walking b downwards reads
+  // those s1 planes before they change. The caller renumbers s3's planes
+  // for the rotation.
+  for (unsigned b = 64; b-- > 0;) {
+    std::uint64_t* s0 = plane(0, b);
+    std::uint64_t* s1 = plane(1, b);
+    std::uint64_t* s2 = plane(2, b);
+    std::uint64_t* s3 = plane(3, (b + s3_shift) & 63);
+    const std::uint64_t* t = plane(1, (b - 17) & 63);
+    for (unsigned j = 0; j < C; ++j) {
+      const std::uint64_t v2 = s2[j] ^ s0[j];
+      const std::uint64_t v3 = s3[j] ^ s1[j];
+      s0[j] ^= v3;
+      s1[j] ^= v2;
+      s2[j] = v2 ^ (b >= 17 ? t[j] : 0);
+      s3[j] = v3;
+    }
+  }
 }
 
 }  // namespace
@@ -86,18 +116,30 @@ LaneRngBlock::LaneRngBlock(std::uint64_t base_seed, unsigned words)
   if (words < 1) {
     throw std::invalid_argument("LaneRngBlock: words must be >= 1");
   }
-  lanes_.reserve(std::size_t{words} * kWordLanes);
-  for (std::size_t j = 0; j < std::size_t{words} * kWordLanes; ++j) {
-    lanes_.emplace_back(derive_stream_seed(base_seed, j));
+  state_.assign(std::size_t{256} * words, 0);
+  for (std::size_t lane = 0; lane < std::size_t{words} * kWordLanes;
+       ++lane) {
+    const Rng rng{derive_stream_seed(base_seed, lane)};
+    std::uint64_t* column = state_.data() + lane / kWordLanes;
+    for (unsigned bit = 0; bit < 256; ++bit) {
+      column[std::size_t{bit} * words] |= ((rng.s_[bit / 64] >> (bit % 64)) & 1)
+                                          << (lane % kWordLanes);
+    }
   }
-  pending_.assign(std::size_t{words} * kWordLanes, 0);
+  pending_.assign(std::size_t{64} * words, 0);
 }
 
 void LaneRngBlock::refill_() noexcept {
-  for (unsigned g = 0; g < words_; ++g) {
-    refill_lane_group(lanes_.data() + std::size_t{g} * kWordLanes,
-                      pending_.data() + std::size_t{g} * kWordLanes);
+  // Eight words at a time (512 lanes, the widest gate-level block), then
+  // word by word.
+  unsigned w = 0;
+  for (; w + 8 <= words_; w += 8) {
+    step_lanes<8>(state_.data() + w, words_, s3_shift_, pending_.data() + w);
   }
+  for (; w < words_; ++w) {
+    step_lanes<1>(state_.data() + w, words_, s3_shift_, pending_.data() + w);
+  }
+  s3_shift_ = (s3_shift_ + 64 - 45) & 63;  // s3 = rotl(s3, 45)
   cursor_ = 0;
 }
 

@@ -102,6 +102,8 @@ class Rng {
     return (x << k) | (x >> (64 - k));
   }
 
+  friend class LaneRngBlock;  // reads the seeded state into its planes
+
   std::uint64_t s_[4];
 };
 
@@ -156,9 +158,15 @@ class BitRng {
 /// are therefore a pure function of the lane index: a lane emits the
 /// identical bit sequence at every block width, which is what makes
 /// characterization results independent of the engine's block width.
-/// Each 64-lane word group transposes independently through a 64×64 bit
-/// transpose, so the amortized cost stays one raw xoshiro draw per lane
-/// per 64 blocks.
+///
+/// The generators themselves are bit-sliced: state bit b of xoshiro word
+/// i is one plane of W words whose bit k belongs to lane k. A refill runs
+/// one xoshiro256** step for every lane at once — the output scrambler
+/// rotl(s1 * 5, 7) * 9 as two ripple-carry adders over the planes, the
+/// state update as plane XORs, its shift as a plane offset and its
+/// rotation as a renumbering of s3's planes — and the 64 output planes
+/// it leaves are the next 64 blocks, bit t of every lane's draw in block
+/// t, with no per-lane draw and no transpose.
 class LaneRngBlock {
  public:
   static constexpr unsigned kWordLanes = 64;
@@ -175,9 +183,8 @@ class LaneRngBlock {
   /// out[w] = lane (64·w + b)'s next Bernoulli(1/2) draw.
   void next_block(std::uint64_t* out) noexcept {
     if (cursor_ == kWordLanes) refill_();
-    for (unsigned w = 0; w < words_; ++w) {
-      out[w] = pending_[w * kWordLanes + cursor_];
-    }
+    const std::uint64_t* block = pending_.data() + cursor_ * words_;
+    for (unsigned w = 0; w < words_; ++w) out[w] = block[w];
     ++cursor_;
   }
 
@@ -185,8 +192,11 @@ class LaneRngBlock {
   void refill_() noexcept;
 
   unsigned words_;
-  std::vector<Rng> lanes_;                // 64·words_ generators
-  std::vector<std::uint64_t> pending_;    // [group*64 + t], t = block time
+  /// Plane (64·i + b) holds state bit b of xoshiro word i in every lane,
+  /// words_ words per plane; s3's planes are stored rotated by s3_shift_.
+  std::vector<std::uint64_t> state_;
+  unsigned s3_shift_ = 0;
+  std::vector<std::uint64_t> pending_;  ///< [t * words_ + w], t = block time
   unsigned cursor_ = kWordLanes;
 };
 

@@ -1,6 +1,9 @@
 #include "exp/runner.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <mutex>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -90,12 +93,30 @@ ResultSet SweepRunner::run_range(const SweepSpec& spec, std::size_t begin,
     first = last;
   }
 
+  // The largest units start first, so no sweep waits on a long unit that
+  // started last. A unit's expected work comes from its config alone:
+  // members x (warmup + measured cycles) x ports x fabric stages. The
+  // sort is stable, so units of equal work keep expansion order.
+  std::vector<std::uint64_t> work(units.size());
+  for (std::size_t n = 0; n < units.size(); ++n) {
+    const auto [first, last] = units[n];
+    const SimConfig& c = records[pending[first]].config;
+    work[n] = (last - first) * (c.warmup_cycles + c.measure_cycles) *
+              c.ports * fabric_stages(c.arch, c.ports);
+  }
+  std::vector<std::size_t> order(units.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return work[a] > work[b];
+                   });
+
   std::mutex callback_mutex;
   static obs::Histogram& unit_ns =
       obs::Registry::global().histogram("exp.unit_ns");
   run_task_pool(units.size(), threads_, [&](const auto& claim) {
     for (std::size_t n = 0; claim(n);) {
-      const auto [first, last] = units[n];
+      const auto [first, last] = units[order[n]];
       const obs::ScopedPhase unit_timer(unit_ns);
       for (std::size_t m = first; m < last; ++m) {
         RunRecord& record = records[pending[m]];

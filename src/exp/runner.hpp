@@ -20,6 +20,14 @@
 // validate() accepts bit-identically to the reference engine, so the
 // engine choice — like the thread count — never changes a single result
 // bit.
+//
+// Units start largest first, by an estimate from the config alone
+// (replicates x cycles x ports x fabric_stages), so a sweep does not wait
+// on a long unit that started last; units of equal work start in
+// expansion order. Only the order in which on_record fires changes. A
+// shard of one grid shape (src/dist) therefore still streams its rows in
+// order, while a shard that mixes shapes streams its contiguous prefix
+// later; its resume from that prefix is unchanged.
 #pragma once
 
 #include <functional>

@@ -2,10 +2,37 @@
 
 #include <bit>
 #include <stdexcept>
+#include <utility>
 
 #include "common/bitops.hpp"
 
 namespace sfab::gatelevel {
+
+LaneCoefficients lane_coefficients(const Netlist& source, double scale) {
+  if (!source.finalized()) {
+    throw std::invalid_argument("lane_coefficients: netlist not finalized");
+  }
+  if (!(scale > 0.0)) {
+    throw std::invalid_argument("lane_coefficients: scale <= 0");
+  }
+  const auto coeff = [&](GateType type, NetId out) {
+    const GateEnergy e = energy_of(type, scale);
+    // Same expression as the scalar engine's charge_toggle, so a per-lane
+    // replay adds bit-identical doubles.
+    return e.toggle_j + e.per_fanout_j * source.fanout(out);
+  };
+  LaneCoefficients c;
+  c.op.reserve(source.level_order().size());
+  for (const std::size_t gi : source.level_order()) {
+    c.op.push_back(coeff(source.gate_type(gi), source.gate_output(gi)));
+  }
+  c.dff.reserve(source.dff_gates().size());
+  for (const std::size_t gi : source.dff_gates()) {
+    c.dff.push_back(coeff(GateType::kDff, source.gate_output(gi)));
+  }
+  c.dff_idle_j = energy_of(GateType::kDff, scale).idle_j;
+  return c;
+}
 
 BitslicedNetlist::BitslicedNetlist(const Netlist& source, unsigned lanes,
                                    LaneKernel kernel) {
@@ -22,42 +49,33 @@ BitslicedNetlist::BitslicedNetlist(const Netlist& source, unsigned lanes,
   word_masks_.assign(words_, ~std::uint64_t{0});
   word_masks_.back() = last_word_lane_mask(lanes);
 
-  const double scale = source.energy_scale();
+  LaneCoefficients coeffs = lane_coefficients(source, source.energy_scale());
+  op_coeff_ = std::move(coeffs.op);
+  dff_coeff_ = std::move(coeffs.dff);
+  dff_idle_j_ = coeffs.dff_idle_j;
 
   const auto& order = source.level_order();
   op_types_.reserve(order.size());
   op_pins_.reserve(order.size() * 3);
   op_outs_.reserve(order.size());
-  op_coeff_.reserve(order.size());
   for (const std::size_t gi : order) {
-    const GateType type = source.gate_type(gi);
     const auto pins = source.gate_pins(gi);
-    const NetId out = source.gate_output(gi);
-    op_types_.push_back(type);
+    op_types_.push_back(source.gate_type(gi));
     // Pad unused pin slots with the first pin: evaluate_lanes ignores them,
     // and a real net keeps the read in-bounds.
     op_pins_.push_back(pins[0]);
     op_pins_.push_back(pins.size() > 1 ? pins[1] : pins[0]);
     op_pins_.push_back(pins.size() > 2 ? pins[2] : pins[0]);
-    op_outs_.push_back(out);
-    const GateEnergy e = energy_of(type, scale);
-    // Same expression as the scalar engine's charge_toggle, so a per-lane
-    // replay adds bit-identical doubles.
-    op_coeff_.push_back(e.toggle_j + e.per_fanout_j * source.fanout(out));
+    op_outs_.push_back(source.gate_output(gi));
   }
 
   const auto& dffs = source.dff_gates();
   dff_d_.reserve(dffs.size());
   dff_q_.reserve(dffs.size());
-  dff_coeff_.reserve(dffs.size());
   for (const std::size_t gi : dffs) {
     dff_d_.push_back(source.gate_pins(gi)[0]);
-    const NetId out = source.gate_output(gi);
-    dff_q_.push_back(out);
-    const GateEnergy e = energy_of(GateType::kDff, scale);
-    dff_coeff_.push_back(e.toggle_j + e.per_fanout_j * source.fanout(out));
+    dff_q_.push_back(source.gate_output(gi));
   }
-  dff_idle_j_ = energy_of(GateType::kDff, scale).idle_j;
 
   inputs_ = source.inputs();
   num_nets_ = source.num_nets();

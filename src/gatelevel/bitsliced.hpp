@@ -43,6 +43,22 @@
 
 namespace sfab::gatelevel {
 
+/// The toggle-energy coefficients of a netlist's lane program at one
+/// energy scale (Netlist::set_energy_scale's factor), in the order the
+/// exact toggle counts come in. A scale changes these doubles and never a
+/// toggle, so one measurement reduces at any number of scales.
+struct LaneCoefficients {
+  /// Per op, program (level) order: toggle_j + per_fanout_j · fanout —
+  /// the same doubles the scalar engine charges per event.
+  std::vector<double> op;
+  std::vector<double> dff;  ///< per DFF, latch order
+  double dff_idle_j = 0.0;  ///< DFF clock energy per lane-cycle
+};
+
+/// `source`'s coefficients at `scale` (finalized netlist; scale > 0).
+[[nodiscard]] LaneCoefficients lane_coefficients(const Netlist& source,
+                                                 double scale);
+
 class BitslicedNetlist {
  public:
   static constexpr unsigned kWordLanes = 64;  ///< lanes per uint64_t word

@@ -70,31 +70,40 @@ std::uint64_t checked_idle_lane_cycles(std::size_t num_dffs,
   return num_dffs * lane_cycles;
 }
 
+/// Exact integer toggle counts of one measured drive, summed over the
+/// sample's lanes and measured steps: per DFF in latch order, per op in
+/// program order, plus the lane-cycles the DFF idle term and the average
+/// are taken over.
+struct ToggleCounts {
+  std::vector<std::uint64_t> dff;
+  std::vector<std::uint64_t> op;
+  std::uint64_t idle_lane_cycles = 0;  ///< num_dffs * lane_cycles
+  std::uint64_t lane_cycles = 0;
+};
+
 /// Canonical exact energy reduction: DFF idle events, then per-DFF toggle
 /// counts in latch order, then per-op toggle counts in program order, each
-/// multiplied by its coefficient. Counts are exact integers, so any
-/// processing that measures the same sample reduces to the same double —
-/// this is the engine/kernel invariance contract.
-double reduce_exact_energy(const BitslicedNetlist& program,
-                           std::uint64_t idle_lane_cycles,
-                           const std::vector<std::uint64_t>& dff_deltas,
-                           const std::vector<std::uint64_t>& op_deltas) {
+/// multiplied by its coefficient, averaged per lane-cycle. Counts are exact
+/// integers, so any processing that measures the same sample reduces to
+/// the same double — this is the engine/kernel invariance contract.
+double energy_per_cycle(const LaneCoefficients& coeffs,
+                        const ToggleCounts& counts) {
   double energy =
-      program.dff_idle_j() * static_cast<double>(idle_lane_cycles);
-  for (std::size_t k = 0; k < dff_deltas.size(); ++k) {
-    energy += program.dff_coeffs()[k] * static_cast<double>(dff_deltas[k]);
+      coeffs.dff_idle_j * static_cast<double>(counts.idle_lane_cycles);
+  for (std::size_t k = 0; k < counts.dff.size(); ++k) {
+    energy += coeffs.dff[k] * static_cast<double>(counts.dff[k]);
   }
-  for (std::size_t g = 0; g < op_deltas.size(); ++g) {
-    energy += program.op_coeffs()[g] * static_cast<double>(op_deltas[g]);
+  for (std::size_t g = 0; g < counts.op.size(); ++g) {
+    energy += coeffs.op[g] * static_cast<double>(counts.op[g]);
   }
-  return energy;
+  return energy / static_cast<double>(counts.lane_cycles);
 }
 
-/// Measures average energy per lane-cycle for one drive plan; engines are
-/// built once per characterization and reused across masks.
+/// Measures the exact toggle counts of one drive plan; engines are built
+/// once per characterization and reused across masks.
 struct DriveMeasurer {
   virtual ~DriveMeasurer() = default;
-  virtual double energy_per_cycle(const MaskDrive& drive) = 0;
+  virtual ToggleCounts measure(const MaskDrive& drive) = 0;
 };
 
 /// Fast path: the multi-word bit-sliced engine advances the whole lane
@@ -106,11 +115,11 @@ class BitslicedMeasurer final : public DriveMeasurer {
                     const CharacterizationConfig& config)
       : config_(config),
         grid_(grid_of(config)),
-        engine_(harness.netlist, grid_.lanes, config.kernel) {
-    checked_idle_lane_cycles(engine_.num_dffs(), grid_);
-  }
+        engine_(harness.netlist, grid_.lanes, config.kernel),
+        idle_lane_cycles_(
+            checked_idle_lane_cycles(engine_.num_dffs(), grid_)) {}
 
-  double energy_per_cycle(const MaskDrive& drive) override {
+  ToggleCounts measure(const MaskDrive& drive) override {
     const unsigned words = engine_.words();
     engine_.reset();
     LaneRngBlock rng(config_.seed, words);
@@ -129,54 +138,50 @@ class BitslicedMeasurer final : public DriveMeasurer {
     };
 
     for (unsigned c = 0; c < config_.warmup; ++c) drive_step();
-    std::vector<std::uint64_t> op_deltas = engine_.op_toggle_counts();
-    std::vector<std::uint64_t> dff_deltas = engine_.dff_toggle_counts();
+    ToggleCounts counts;
+    counts.op = engine_.op_toggle_counts();
+    counts.dff = engine_.dff_toggle_counts();
     for (std::uint64_t c = 0; c < grid_.steps; ++c) drive_step();
     const auto& op_now = engine_.op_toggle_counts();
     const auto& dff_now = engine_.dff_toggle_counts();
-    for (std::size_t g = 0; g < op_deltas.size(); ++g) {
-      op_deltas[g] = op_now[g] - op_deltas[g];
+    for (std::size_t g = 0; g < counts.op.size(); ++g) {
+      counts.op[g] = op_now[g] - counts.op[g];
     }
-    for (std::size_t k = 0; k < dff_deltas.size(); ++k) {
-      dff_deltas[k] = dff_now[k] - dff_deltas[k];
+    for (std::size_t k = 0; k < counts.dff.size(); ++k) {
+      counts.dff[k] = dff_now[k] - counts.dff[k];
     }
-
-    const std::uint64_t lane_cycles =
-        std::uint64_t{grid_.lanes} * grid_.steps;
-    const double energy = reduce_exact_energy(
-        engine_, checked_idle_lane_cycles(engine_.num_dffs(), grid_),
-        dff_deltas, op_deltas);
-    return energy / static_cast<double>(lane_cycles);
+    counts.idle_lane_cycles = idle_lane_cycles_;
+    counts.lane_cycles = std::uint64_t{grid_.lanes} * grid_.steps;
+    return counts;
   }
 
  private:
   CharacterizationConfig config_;
   SampleGrid grid_;
   BitslicedNetlist engine_;
+  std::uint64_t idle_lane_cycles_;
 };
 
 /// Reference path: the scalar engine driven lane by lane with the exact
 /// bit streams the bit-sliced engines consume (BitRng over
-/// derive_stream_seed(seed, lane)). A BitslicedNetlist is kept purely as
-/// the coefficient/ordering view so the reduction uses the identical
-/// doubles in the identical order.
+/// derive_stream_seed(seed, lane)), its per-gate counts gathered into the
+/// lane program's order.
 class ScalarMeasurer final : public DriveMeasurer {
  public:
   ScalarMeasurer(SwitchHarness& harness, const CharacterizationConfig& config)
       : harness_(harness),
         config_(config),
         grid_(grid_of(config)),
-        program_(harness.netlist, BitslicedNetlist::kWordLanes,
-                 LaneKernel::kPortable) {
-    checked_idle_lane_cycles(program_.num_dffs(), grid_);
-  }
+        idle_lane_cycles_(checked_idle_lane_cycles(
+            harness.netlist.dff_gates().size(), grid_)) {}
 
-  double energy_per_cycle(const MaskDrive& drive) override {
+  ToggleCounts measure(const MaskDrive& drive) override {
     Netlist& nl = harness_.netlist;
     const auto& order = nl.level_order();
     const auto& dffs = nl.dff_gates();
-    std::vector<std::uint64_t> op_deltas(order.size(), 0);
-    std::vector<std::uint64_t> dff_deltas(dffs.size(), 0);
+    ToggleCounts counts;
+    counts.op.assign(order.size(), 0);
+    counts.dff.assign(dffs.size(), 0);
     std::vector<bool> stimulus(nl.inputs().size(), false);
 
     for (unsigned lane = 0; lane < grid_.lanes; ++lane) {
@@ -197,26 +202,22 @@ class ScalarMeasurer final : public DriveMeasurer {
       for (std::uint64_t c = 0; c < grid_.steps; ++c) drive_cycle();
       const auto& now = nl.gate_toggle_counts();
       for (std::size_t i = 0; i < order.size(); ++i) {
-        op_deltas[i] += now[order[i]] - base[order[i]];
+        counts.op[i] += now[order[i]] - base[order[i]];
       }
       for (std::size_t k = 0; k < dffs.size(); ++k) {
-        dff_deltas[k] += now[dffs[k]] - base[dffs[k]];
+        counts.dff[k] += now[dffs[k]] - base[dffs[k]];
       }
     }
-
-    const std::uint64_t lane_cycles =
-        std::uint64_t{grid_.lanes} * grid_.steps;
-    const double energy = reduce_exact_energy(
-        program_, checked_idle_lane_cycles(program_.num_dffs(), grid_),
-        dff_deltas, op_deltas);
-    return energy / static_cast<double>(lane_cycles);
+    counts.idle_lane_cycles = idle_lane_cycles_;
+    counts.lane_cycles = std::uint64_t{grid_.lanes} * grid_.steps;
+    return counts;
   }
 
  private:
   SwitchHarness& harness_;
   CharacterizationConfig config_;
   SampleGrid grid_;
-  BitslicedNetlist program_;
+  std::uint64_t idle_lane_cycles_;
 };
 
 std::unique_ptr<DriveMeasurer> make_measurer(
@@ -233,15 +234,6 @@ std::unique_ptr<DriveMeasurer> make_measurer(
   return std::make_unique<BitslicedMeasurer>(harness, config);
 }
 
-MaskEnergy entry_for(const SwitchHarness& harness, std::uint32_t mask,
-                     double per_cycle) {
-  MaskEnergy entry;
-  entry.mask = mask;
-  entry.energy_per_cycle_j = per_cycle;
-  entry.energy_per_bit_j = per_cycle / harness.bits_per_port;
-  return entry;
-}
-
 unsigned worker_count(const CharacterizationConfig& config,
                       std::size_t n_masks) {
   const unsigned requested =
@@ -251,57 +243,89 @@ unsigned worker_count(const CharacterizationConfig& config,
       std::min<std::size_t>(requested, std::max<std::size_t>(n_masks, 1)));
 }
 
-}  // namespace
-
-std::vector<MaskEnergy> characterize(SwitchHarness& harness,
-                                     const std::vector<std::uint32_t>& masks,
-                                     const CharacterizationConfig& config) {
-  const unsigned workers = worker_count(config, masks.size());
-  if (workers <= 1) {
-    const auto measurer = make_measurer(harness, config);
-    std::vector<MaskEnergy> results;
-    results.reserve(masks.size());
-    for (const std::uint32_t mask : masks) {
-      const MaskDrive drive = harness.drive_schedule(mask);
-      results.push_back(
-          entry_for(harness, mask, measurer->energy_per_cycle(drive)));
-    }
-    return results;
+/// Measures each drive once and reduces it at every scale: result[s][i]
+/// is drive i (labelled masks[i]) at scales[s]. Every drive's sample and
+/// plan are pure functions of (config, harness, drive), and each result
+/// lands in its own slot, so which worker measures which drive is
+/// invisible — output is bit-identical at any thread count. Each worker
+/// owns a private harness copy (the scalar engine mutates its netlist)
+/// and a private engine stack, so workers share nothing mutable.
+std::vector<std::vector<MaskEnergy>> measure_at_scales(
+    SwitchHarness& harness, const std::vector<std::uint32_t>& masks,
+    const std::vector<MaskDrive>& drives, const std::vector<double>& scales,
+    const CharacterizationConfig& config) {
+  // Validate on the calling thread, so the threaded path throws what the
+  // serial one does.
+  std::unique_ptr<DriveMeasurer> measurer = make_measurer(harness, config);
+  std::vector<LaneCoefficients> coeffs;
+  coeffs.reserve(scales.size());
+  for (const double scale : scales) {
+    coeffs.push_back(lane_coefficients(harness.netlist, scale));
   }
 
-  // Worker pool across masks. Every mask's sample and drive plan are pure
-  // functions of (config, harness, mask), and results land in results[i]
-  // by canonical index, so which worker measures which mask is invisible —
-  // output is bit-identical at any thread count. Drive plans are computed
-  // up front on the calling thread; each worker owns a private harness
-  // copy (the scalar engine mutates its netlist) and a private engine
-  // stack, so workers share nothing mutable.
+  std::vector<std::vector<MaskEnergy>> results(
+      scales.size(), std::vector<MaskEnergy>(drives.size()));
+  const auto measure_into = [&](DriveMeasurer& m, std::size_t i) {
+    const ToggleCounts counts = m.measure(drives[i]);
+    for (std::size_t s = 0; s < scales.size(); ++s) {
+      MaskEnergy& entry = results[s][i];
+      entry.mask = masks[i];
+      entry.energy_per_cycle_j = energy_per_cycle(coeffs[s], counts);
+      entry.energy_per_bit_j =
+          entry.energy_per_cycle_j / harness.bits_per_port;
+    }
+  };
+  const unsigned workers = worker_count(config, drives.size());
+  if (workers <= 1) {
+    for (std::size_t i = 0; i < drives.size(); ++i) measure_into(*measurer, i);
+    return results;
+  }
+  measurer.reset();
+  run_task_pool(drives.size(), workers, [&](const auto& claim) {
+    SwitchHarness local = harness;
+    const auto local_measurer = make_measurer(local, config);
+    for (std::size_t i = 0; claim(i);) measure_into(*local_measurer, i);
+  });
+  return results;
+}
+
+}  // namespace
+
+std::vector<std::vector<MaskEnergy>> characterize_at_scales(
+    SwitchHarness& harness, const std::vector<std::uint32_t>& masks,
+    const std::vector<double>& scales, const CharacterizationConfig& config) {
   std::vector<MaskDrive> drives;
   drives.reserve(masks.size());
   for (const std::uint32_t mask : masks) {
     drives.push_back(harness.drive_schedule(mask));
   }
-  // Validate config/harness on the calling thread so invalid inputs throw
-  // the same exceptions they would serially.
-  make_measurer(harness, config);
+  return measure_at_scales(harness, masks, drives, scales, config);
+}
 
-  std::vector<MaskEnergy> results(masks.size());
-  run_task_pool(masks.size(), workers, [&](const auto& claim) {
-    SwitchHarness local = harness;
-    const auto measurer = make_measurer(local, config);
-    for (std::size_t i = 0; claim(i);) {
-      results[i] =
-          entry_for(local, masks[i], measurer->energy_per_cycle(drives[i]));
-    }
-  });
-  return results;
+std::vector<MaskEnergy> characterize_all_active_at_scales(
+    SwitchHarness& harness, const std::vector<double>& scales,
+    const CharacterizationConfig& config) {
+  const auto results = measure_at_scales(
+      harness, {0xFFFFFFFFu}, {harness.drive_schedule_all()}, scales, config);
+  std::vector<MaskEnergy> out;
+  out.reserve(results.size());
+  for (const auto& at_scale : results) out.push_back(at_scale.front());
+  return out;
+}
+
+std::vector<MaskEnergy> characterize(SwitchHarness& harness,
+                                     const std::vector<std::uint32_t>& masks,
+                                     const CharacterizationConfig& config) {
+  return characterize_at_scales(harness, masks,
+                                {harness.netlist.energy_scale()}, config)
+      .front();
 }
 
 MaskEnergy characterize_all_active(SwitchHarness& harness,
                                    const CharacterizationConfig& config) {
-  const auto measurer = make_measurer(harness, config);
-  const MaskDrive drive = harness.drive_schedule_all();
-  return entry_for(harness, 0xFFFFFFFFu, measurer->energy_per_cycle(drive));
+  return characterize_all_active_at_scales(
+             harness, {harness.netlist.energy_scale()}, config)
+      .front();
 }
 
 std::vector<double> characterize_two_port_lut(

@@ -20,9 +20,16 @@
 // Per-mask energy is reduced from exact integer per-gate toggle counts in
 // a canonical order, so characterize() results are bit-identical across
 // engines, kernels, and worker-thread counts — the fast path is pinned to
-// the reference not just statistically but double for double. Masks are independent samples, so characterize() can fan them
-// out across a worker pool (config.threads), one private engine per
-// worker, results written back in canonical mask order.
+// the reference not just statistically but double for double. Masks are
+// independent samples, so characterize() can fan them out across a worker
+// pool (config.threads), one private engine per worker, results written
+// back in canonical mask order.
+//
+// An energy scale (Netlist::set_energy_scale, one per technology preset)
+// changes the gate coefficients and never a toggle, so the *_at_scales
+// entry points measure each mask once and reduce its counts at every
+// scale; characterize() and characterize_all_active() are their
+// one-scale case, at the netlist's own scale.
 #pragma once
 
 #include <cstdint>
@@ -84,6 +91,20 @@ struct MaskEnergy {
 /// cannot express "all active". The returned mask field is 0xFFFFFFFF.
 [[nodiscard]] MaskEnergy characterize_all_active(
     SwitchHarness& harness, const CharacterizationConfig& config = {});
+
+/// characterize() at several energy scales from one measurement:
+/// result[s] is, bit for bit, characterize() on the harness with its
+/// netlist set to scales[s] (each > 0). The netlist's own scale is
+/// ignored.
+[[nodiscard]] std::vector<std::vector<MaskEnergy>> characterize_at_scales(
+    SwitchHarness& harness, const std::vector<std::uint32_t>& masks,
+    const std::vector<double>& scales, const CharacterizationConfig& config);
+
+/// characterize_all_active() at several energy scales from one
+/// measurement, result[s] at scales[s].
+[[nodiscard]] std::vector<MaskEnergy> characterize_all_active_at_scales(
+    SwitchHarness& harness, const std::vector<double>& scales,
+    const CharacterizationConfig& config);
 
 /// All 2^ports masks in order — convenient for 1- and 2-port switches; do
 /// not use for wide MUXes (exponential).

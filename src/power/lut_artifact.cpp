@@ -257,14 +257,6 @@ gatelevel::CharacterizationConfig config_of(
   return cfg;
 }
 
-/// Per-bit LUT of a 2-port harness builder at one preset, occupancy-indexed.
-std::vector<double> two_port_lut(gatelevel::SwitchHarness harness,
-                                 double energy_scale,
-                                 const gatelevel::CharacterizationConfig& cfg) {
-  harness.netlist.set_energy_scale(energy_scale);
-  return gatelevel::characterize_two_port_lut(harness, cfg);
-}
-
 }  // namespace
 
 const LutArtifact::PresetTables* LutArtifact::find(
@@ -319,43 +311,54 @@ LutArtifact build_lut_artifact(const LutBuildOptions& options) {
     artifact.presets.emplace_back(name, std::move(tables));
   }
 
-  // One task per (preset, table) and per (preset, MUX rung), the largest
-  // rungs first so the longest tasks do not start last. Each task runs one
-  // single-threaded characterization and writes only its own slot, so the
-  // artifact is the same at any worker count.
+  // One task per MUX rung and per table, the largest rungs first so the
+  // longest tasks do not start last. A preset only rescales the gate
+  // coefficients, so each task measures its harness once and reduces the
+  // counts at every preset's scale. Each task runs single-threaded and
+  // writes only its own slots, so the artifact is the same at any worker
+  // count.
   const gatelevel::CharacterizationConfig cfg = config_of(options.generator);
   const unsigned bits = options.generator.bits_per_port;
+  std::vector<double> scales;
+  for (const auto& preset : artifact.presets) {
+    scales.push_back(preset.second.energy_scale);
+  }
+  // A table's rows, one per occupancy mask of its `ports` ports.
+  const auto occupancy_rows =
+      [&](std::vector<double> LutArtifact::PresetTables::*row,
+          gatelevel::SwitchHarness harness, unsigned ports) {
+        const auto measured = gatelevel::characterize_at_scales(
+            harness, gatelevel::all_masks(ports), scales, cfg);
+        for (std::size_t p = 0; p < scales.size(); ++p) {
+          for (const gatelevel::MaskEnergy& m : measured[p]) {
+            (artifact.presets[p].second.*row).push_back(m.energy_per_bit_j);
+          }
+        }
+      };
   std::vector<std::function<void()>> tasks;
   for (std::size_t rung = rungs.size(); rung-- > 0;) {
-    for (auto& preset : artifact.presets) {
-      LutArtifact::PresetTables* const t = &preset.second;
-      tasks.emplace_back([&, rung, t] {
-        gatelevel::SwitchHarness mux = gatelevel::build_mux(rungs[rung], bits);
-        mux.netlist.set_energy_scale(t->energy_scale);
-        t->mux_per_bit_j[rung] =
-            gatelevel::characterize_all_active(mux, cfg).energy_per_bit_j;
-      });
-    }
-  }
-  for (auto& preset : artifact.presets) {
-    LutArtifact::PresetTables* const t = &preset.second;
-    tasks.emplace_back([&, t] {
-      gatelevel::SwitchHarness xp = gatelevel::build_crosspoint(bits);
-      xp.netlist.set_energy_scale(t->energy_scale);
-      for (const gatelevel::MaskEnergy& m :
-           gatelevel::characterize(xp, gatelevel::all_masks(1), cfg)) {
-        t->crosspoint.push_back(m.energy_per_bit_j);
+    tasks.emplace_back([&, rung] {
+      gatelevel::SwitchHarness mux = gatelevel::build_mux(rungs[rung], bits);
+      const auto measured =
+          gatelevel::characterize_all_active_at_scales(mux, scales, cfg);
+      for (std::size_t p = 0; p < scales.size(); ++p) {
+        artifact.presets[p].second.mux_per_bit_j[rung] =
+            measured[p].energy_per_bit_j;
       }
     });
-    tasks.emplace_back([&, t] {
-      t->banyan2x2 = two_port_lut(gatelevel::build_banyan_switch(bits),
-                                  t->energy_scale, cfg);
-    });
-    tasks.emplace_back([&, t] {
-      t->sorter2x2 = two_port_lut(gatelevel::build_sorter_switch(bits),
-                                  t->energy_scale, cfg);
-    });
   }
+  tasks.emplace_back([&] {
+    occupancy_rows(&LutArtifact::PresetTables::crosspoint,
+                   gatelevel::build_crosspoint(bits), 1);
+  });
+  tasks.emplace_back([&] {
+    occupancy_rows(&LutArtifact::PresetTables::banyan2x2,
+                   gatelevel::build_banyan_switch(bits), 2);
+  });
+  tasks.emplace_back([&] {
+    occupancy_rows(&LutArtifact::PresetTables::sorter2x2,
+                   gatelevel::build_sorter_switch(bits), 2);
+  });
   const unsigned workers =
       options.threads != 0 ? options.threads
                            : std::max(1u, std::thread::hardware_concurrency());

@@ -7,9 +7,9 @@
 // up to 1024 — and freezes the measured coefficients into a schema-stamped
 // JSON artifact (power/luts/switch_luts.json). The analytical model loads
 // its SwitchEnergyTables from the artifact instead of hardcoded constants,
-// and scripts/check_lut_drift.py regenerates a reduced ladder in CI and
-// fails on any coefficient that deviates — so model coefficients can never
-// silently drift from gate-level ground truth.
+// and CI regenerates the full ladder and fails on any byte that deviates
+// (scripts/check_lut_drift.py names the rows) — so model coefficients can
+// never silently drift from gate-level ground truth.
 //
 // Exactness contract: every energy is written as a C99 hexfloat string
 // ("%a"), which round-trips doubles bit for bit, and the ladder itself is
@@ -46,8 +46,8 @@ struct LutArtifact {
 
   /// One technology preset's measured tables, all joules per bit-slot.
   struct PresetTables {
-    /// energy_scale_vs_reference() of the preset, applied to the netlist
-    /// gate coefficients before measuring.
+    /// energy_scale_vs_reference() of the preset: the gate coefficients
+    /// the measured toggle counts are reduced with are scaled by it.
     double energy_scale = 1.0;
     std::vector<double> crosspoint;  ///< 2 entries, occupancy-indexed
     std::vector<double> banyan2x2;   ///< 4 entries, occupancy-indexed
@@ -74,11 +74,12 @@ struct LutBuildOptions {
   /// Presets to characterize; empty = TechnologyParams::preset_names().
   std::vector<std::string> presets;
   /// Top of the MUX port-count ladder (power of two >= 4). 1024 is the
-  /// shipped artifact; CI's reduced ladder stops at 64.
+  /// shipped artifact; sfab_characterize --reduced stops at 64.
   unsigned max_mux_inputs = 1024;
-  /// Worker threads over the ladder's tasks, one per (preset, table) and
-  /// per (preset, MUX rung), each characterized single-threaded (0 = one
-  /// per hardware thread). The artifact is the same at any count.
+  /// Worker threads over the ladder's tasks, one per MUX rung and one per
+  /// table, each characterized single-threaded and measured once for all
+  /// presets (0 = one per hardware thread). The artifact is the same at
+  /// any count.
   unsigned threads = 0;
 };
 

@@ -24,6 +24,24 @@ constexpr std::uint64_t kSizeCap = std::uint64_t{1} << 20;
 
 }  // namespace
 
+unsigned fabric_stages(Architecture arch, unsigned ports) noexcept {
+  switch (arch) {
+    case Architecture::kBanyan:
+      return log2_exact(ports);
+    case Architecture::kBatcherBanyan: {
+      const unsigned d = log2_exact(ports);
+      return d * (d + 1) / 2 + d;
+    }
+    case Architecture::kMesh: {
+      unsigned k = 1;
+      while (k * k < ports) ++k;
+      return 2 * k;
+    }
+    default:
+      return 1;
+  }
+}
+
 void validate(const SimConfig& c) {
   if (c.ports < 2) reject("ports ", c.ports, " is below 2");
   // Every port set of the engine is one 64-bit mask word.
@@ -151,8 +169,7 @@ void validate(const SimConfig& c) {
       // One ring slot per stage: rows and delivery records per slot, a
       // wire polarity per stage output, a stage spec with its flip table
       // and a slot occupancy word.
-      const std::uint64_t d = log2_exact(c.ports);
-      const std::uint64_t stages = d * (d + 1) / 2 + d;
+      const std::uint64_t stages = fabric_stages(c.arch, c.ports);
       fabric = stages * (c.ports * (detail::kBatcherRowBytes + 4) + 576);
       break;
     }
@@ -160,7 +177,7 @@ void validate(const SimConfig& c) {
       // Per stage: a link word and a wire polarity per row, plus four row
       // masks and two 33-entry flip tables; per ring (one per stage and
       // row) its words and a head/size pair.
-      const std::uint64_t stages = log2_exact(c.ports);
+      const std::uint64_t stages = fabric_stages(c.arch, c.ports);
       const std::uint64_t rings = stages * c.ports;
       fabric = stages * (c.ports * (detail::kStageFlitBytes + 4) + 560) +
                rings * (std::uint64_t{c.buffer_words_per_switch} *

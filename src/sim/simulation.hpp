@@ -92,6 +92,15 @@ struct SimConfig {
 /// starts or any worker is spawned.
 void validate(const SimConfig& config);
 
+/// The switching stages a word crosses in a fabric of `ports` ports: 1 for
+/// crossbar and fully-connected, log2 N for banyan, log2 N (log2 N + 1) / 2
+/// + log2 N for Batcher-Banyan (the bitonic sorter, then the banyan) and
+/// 2k for a k x k mesh. Defined for every (arch, ports) that validate()
+/// accepts. validate() sizes the staged fabrics' state by it, and the
+/// sweep runner estimates a run's work as cycles x ports x stages.
+[[nodiscard]] unsigned fabric_stages(Architecture arch,
+                                     unsigned ports) noexcept;
+
 struct SimResult {
   // --- identification --------------------------------------------------------
   Architecture arch{};

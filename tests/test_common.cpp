@@ -139,10 +139,11 @@ TEST(LaneRngBlock, LaneKIsGlobalStreamKAtEveryWidth) {
   // rests on: bit b of word w is lane (64·w + b), and that lane's bit
   // sequence is exactly the bit-serial stream of an Rng seeded with
   // derive_stream_seed(seed, lane) — independent of the block width that
-  // carries it.
+  // carries it. Every lane at every width, over four refills, so a plane
+  // renumbered wrongly in a later refill shows.
   constexpr std::uint64_t kSeed = 0xB10CCull;
-  constexpr unsigned kBlocks = 150;  // crosses a refill boundary (64)
-  for (const unsigned words : {1u, 2u, 4u, 8u}) {
+  constexpr unsigned kBlocks = 4 * 64;
+  for (unsigned words = 1; words <= 8; ++words) {
     LaneRngBlock block{kSeed, words};
     ASSERT_EQ(block.words(), words);
     ASSERT_EQ(block.lanes(), words * 64);
@@ -150,9 +151,7 @@ TEST(LaneRngBlock, LaneKIsGlobalStreamKAtEveryWidth) {
     for (unsigned t = 0; t < kBlocks; ++t) {
       block.next_block(history.data() + std::size_t{t} * words);
     }
-    for (const unsigned lane :
-         {0u, 1u, 63u, 64u, 127u, words * 64 - 1}) {
-      if (lane >= words * 64) continue;
+    for (unsigned lane = 0; lane < words * 64; ++lane) {
       BitRng bits{Rng{derive_stream_seed(kSeed, lane)}};
       for (unsigned t = 0; t < kBlocks; ++t) {
         const std::uint64_t word = history[std::size_t{t} * words + lane / 64];

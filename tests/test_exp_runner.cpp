@@ -167,6 +167,48 @@ TEST(SweepRunner, ThrowingOnRecordCallbackAbortsTheSweep) {
                std::runtime_error);
 }
 
+/// The expansion indices in the order `spec`'s records fire on one thread.
+std::vector<std::size_t> firing_order(const SweepSpec& spec,
+                                      ResultSet* results) {
+  std::vector<std::size_t> fired;
+  *results = SweepRunner(1)
+                 .with_on_record([&](const RunRecord& rec) {
+                   fired.push_back(rec.index);
+                 })
+                 .run(spec);
+  return fired;
+}
+
+TEST(SweepRunner, StartsTheLargestUnitFirst) {
+  // A 32-port unit has eight times the work of a 4-port one, so it starts
+  // first even though it expands second; the records still come back in
+  // expansion order.
+  SweepSpec spec;
+  spec.base = quick_base();
+  spec.over_ports({4, 32}).with_replicates(2);
+  ResultSet results;
+  const std::vector<std::size_t> fired = firing_order(spec, &results);
+  EXPECT_EQ(fired, (std::vector<std::size_t>{2, 3, 0, 1}));
+  ASSERT_EQ(results.size(), 4u);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].index, i);
+  }
+  EXPECT_EQ(results[0].config.ports, 4u);
+  EXPECT_EQ(results[2].config.ports, 32u);
+}
+
+TEST(SweepRunner, UnitsOfEqualWorkStartInExpansionOrder) {
+  // One arch and port count at two loads: the work estimates tie, and the
+  // stable order keeps expansion order, so a shard of one grid shape
+  // streams its rows in order.
+  SweepSpec spec;
+  spec.base = quick_base();
+  spec.over_loads({0.5, 0.2}).with_replicates(2);
+  ResultSet results;
+  EXPECT_EQ(firing_order(spec, &results),
+            (std::vector<std::size_t>{0, 1, 2, 3}));
+}
+
 // --- migrated sweep_offered_load ---------------------------------------------
 
 TEST(SweepRunner, LoneUnitsTakeTheLaneEngineAndScalarTheReference) {

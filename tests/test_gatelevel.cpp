@@ -5,12 +5,15 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/units.hpp"
 #include "gatelevel/gates.hpp"
 #include "gatelevel/netlist.hpp"
 #include "gatelevel/power_sim.hpp"
 #include "gatelevel/switch_netlists.hpp"
+#include "power/technology.hpp"
 
 namespace sfab::gatelevel {
 namespace {
@@ -385,6 +388,60 @@ TEST(CharacterizeEngines, AllActiveMatchesFullMask) {
   const MaskEnergy all = characterize_all_active(h2, cfg);
   EXPECT_EQ(all.energy_per_bit_j, masked[0].energy_per_bit_j);
   EXPECT_EQ(all.mask, 0xFFFFFFFFu);
+}
+
+TEST(CharacterizeEngines, ScalesReduceOneMeasurementLikeScaledNetlists) {
+  // A technology preset rescales gate coefficients and never a toggle, so
+  // one measurement reduced at every preset's scale must equal, bit for
+  // bit, characterizing a netlist set to that scale.
+  std::vector<double> scales;
+  for (const std::string& name : TechnologyParams::preset_names()) {
+    scales.push_back(
+        TechnologyParams::preset(name).energy_scale_vs_reference());
+  }
+  const CharacterizationConfig cfg{2048, 16, 41};
+  struct Case {
+    const char* name;
+    SwitchHarness (*build)();
+    std::vector<std::uint32_t> masks;
+  };
+  const Case cases[] = {
+      {"crosspoint", [] { return build_crosspoint(8); }, all_masks(1)},
+      {"banyan2x2", [] { return build_banyan_switch(8); }, all_masks(2)},
+      {"mux4", [] { return build_mux(4, 8); }, {0x3u, 0xFu}},
+  };
+  for (const Case& c : cases) {
+    SwitchHarness h = c.build();
+    const auto at_scales = characterize_at_scales(h, c.masks, scales, cfg);
+    ASSERT_EQ(at_scales.size(), scales.size()) << c.name;
+    for (std::size_t s = 0; s < scales.size(); ++s) {
+      SwitchHarness scaled = c.build();
+      scaled.netlist.set_energy_scale(scales[s]);
+      const auto one = characterize(scaled, c.masks, cfg);
+      ASSERT_EQ(at_scales[s].size(), one.size()) << c.name;
+      for (std::size_t m = 0; m < one.size(); ++m) {
+        EXPECT_EQ(at_scales[s][m].mask, one[m].mask) << c.name;
+        EXPECT_EQ(at_scales[s][m].energy_per_cycle_j,
+                  one[m].energy_per_cycle_j)
+            << c.name << " scale " << scales[s] << " mask " << one[m].mask;
+        EXPECT_EQ(at_scales[s][m].energy_per_bit_j, one[m].energy_per_bit_j)
+            << c.name << " scale " << scales[s] << " mask " << one[m].mask;
+      }
+    }
+  }
+
+  SwitchHarness mux = build_mux(4, 8);
+  const auto all_at_scales =
+      characterize_all_active_at_scales(mux, scales, cfg);
+  ASSERT_EQ(all_at_scales.size(), scales.size());
+  for (std::size_t s = 0; s < scales.size(); ++s) {
+    SwitchHarness scaled = build_mux(4, 8);
+    scaled.netlist.set_energy_scale(scales[s]);
+    const MaskEnergy one = characterize_all_active(scaled, cfg);
+    EXPECT_EQ(all_at_scales[s].mask, 0xFFFFFFFFu);
+    EXPECT_EQ(all_at_scales[s].energy_per_bit_j, one.energy_per_bit_j)
+        << "mux4 all active, scale " << scales[s];
+  }
 }
 
 TEST(CharacterizeEngines, OversizedLaneCountThrows) {
